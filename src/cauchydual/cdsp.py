@@ -11,7 +11,9 @@ Two independent routes:
 2. A truncated-operator oracle: the monomial Gram matrix of D(mu), the
    matrix of the shift in the orthonormalized basis, its Cauchy dual, and
    the Agler / hyperexpansivity defect forms on an interior block that
-   absorbs truncation edge effects.
+   absorbs truncation edge effects.  Every defect form comes from one
+   recursion, ``B_n = B_{n-1} - T* B_{n-1} T`` from ``B_0 = I``, which
+   walks all orders in one pass at two matmuls each.
 
 Scalars produced by the closed-form route (overlap sum, coupling
 determinant) are computed in a canonical rotation frame: atoms sorted by
@@ -22,7 +24,7 @@ independent, but the raw scalars are not; the canonical frame pins them.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +126,15 @@ def quadrature_energy(coeffs, mu, level):
     return cross_energy(coeffs, coeffs, mu, level).real
 
 
+@functools.lru_cache(maxsize=None)
+def _radial_nodes(nr):
+    """Gauss-Legendre nodes and weights on ``[0, 1]``, read-only, per count."""
+    x, wx = np.polynomial.legendre.leggauss(nr)
+    r, wr = 0.5 * (x + 1.0), 0.5 * wx
+    r.flags.writeable = wr.flags.writeable = False
+    return r, wr
+
+
 def cross_energy(f, g, mu, level):
     """Sesquilinear Dirichlet energy pairing of two polynomials.
 
@@ -151,9 +162,7 @@ def cross_energy(f, g, mu, level):
     if df.size == 0 or dg.size == 0:
         return 0j
     nr, na = QUAD_LEVELS[level]
-    x, wx = np.polynomial.legendre.leggauss(nr)
-    r = 0.5 * (x + 1.0)
-    wr = 0.5 * wx
+    r, wr = _radial_nodes(nr)
     eipsi = np.exp(2j * np.pi * np.arange(na) / na)
     rr = r[:, None]
     eitau = (eipsi[None, :] + rr) / (1.0 + rr * eipsi[None, :])
@@ -232,12 +241,8 @@ def build_truncation(mu, n):
     gram = gram_big[:n, :n]
     c = cholesky_upper(np.conj(gram))
     c_inv = np.linalg.inv(c)
-    shift = np.diag(np.ones(n - 1, dtype=complex), -1)
-    t = c @ shift @ c_inv
-    lift = np.zeros((n + 1, n), dtype=complex)
-    lift[1:, :] = np.eye(n)
-    z = lift @ c_inv
-    mstar_m = z.conj().T @ np.conj(gram_big) @ z
+    t = np.pad(c[:, 1:], ((0, 0), (0, 1))) @ c_inv
+    mstar_m = c_inv.conj().T @ np.conj(gram_big[1:, 1:]) @ c_inv
     return TruncationWorkspace(
         mu=mu,
         N=n,
@@ -250,11 +255,59 @@ def build_truncation(mu, n):
     )
 
 
+def _defect_forms(t, nmax):
+    """Yield ``B_n = sum_j (-1)^j binom(n, j) (T^j)* T^j`` for n = 1..nmax.
+
+    Agler's identity ``B_n = (1 - L)^n I`` with ``L(X) = T* X T``, walked
+    as ``B_n = B_{n-1} - T* B_{n-1} T``.  Each form replaces the last, so
+    a reader that drops it keeps at most two ``N x N`` forms alive.
+    """
+    b = np.eye(t.shape[0], dtype=complex)
+    t_adj = t.conj().T
+    for _ in range(nmax):
+        b = b - t_adj @ b @ t
+        yield b
+
+
+def _keep(size, n, margin, lo, hi, kind):
+    """Interior size for the order-``n`` form; ``n`` must lie in ``lo..hi``."""
+    if not lo <= n <= hi:
+        raise ValidationError(f"{kind} order must be in {lo}..{hi}")
+    keep = size - margin - n
+    if keep < 2:
+        raise ValidationError("truncation too small for the requested order")
+    return keep
+
+
+def _agler_curve(tp, orders, margin):
+    """``{n: agler_min_eig(tp, n, margin)}`` for each order in ``orders``,
+    all validated before one recursion pass reads them."""
+    keeps = {n: _keep(tp.shape[0], n, margin, 1, 10, "defect") for n in orders}
+    return {
+        n: float(np.linalg.eigvalsh(b[: keeps[n], : keeps[n]])[0])
+        for n, b in enumerate(_defect_forms(tp, max(keeps, default=0)), 1)
+        if n in keeps
+    }
+
+
+def _shift_curve(w, orders):
+    """2-isometry defect and ``{n: hyperexpansivity_max_eig(w, n)}`` for
+    each order in ``orders``, all validated before one recursion pass."""
+    keeps = {n: _keep(w.N, n, w.margin, 2, 6, "hyperexpansivity") for n in orders}
+    hyper = {}
+    for n, b in enumerate(_defect_forms(w.T, max([2, *keeps])), 1):
+        if n == 2:
+            defect = float(np.max(np.abs(b[: w.N - w.margin, : w.N - w.margin])))
+        if n in keeps:
+            hyper[n] = float(np.linalg.eigvalsh(b[: keeps[n], : keeps[n]])[-1])
+    return defect, hyper
+
+
 def two_isometry_defect(w):
     """Max-magnitude interior entry of ``I - 2 T*T + T*^2 T^2``.
 
     Zero (up to round-off) exactly when the shift is a 2-isometry, which
-    holds for every D(mu) here.
+    holds for every D(mu) here.  The form is ``B_2`` of the defect recursion.
 
     Parameters
     ----------
@@ -264,15 +317,20 @@ def two_isometry_defect(w):
     -------
     float
     """
-    t = w.T
-    t2 = t @ t
-    b = (
-        np.eye(w.N, dtype=complex)
-        - 2.0 * t.conj().T @ t
-        + t2.conj().T @ t2
-    )
+    return _shift_curve(w, ())[0]
+
+
+def _gated_dual(w):
+    """Cauchy dual and the interior norm its contraction gate read."""
+    eigs = np.linalg.eigvalsh(w.mstar_m)
+    if eigs[0] <= 1e-10:
+        raise SingularFrame(f"frame section min eigenvalue {eigs[0]:.3e}")
+    dual = w.T @ np.linalg.inv(w.mstar_m)
     keep = w.N - w.margin
-    return float(np.max(np.abs(b[:keep, :keep])))
+    nrm = float(np.linalg.norm(dual[:keep, :keep], 2))
+    if nrm > 1.0 + 1e-6:
+        raise NonConvergence(f"Cauchy dual interior norm {nrm:.9f} exceeds 1 + 1e-6")
+    return dual, nrm
 
 
 def cauchy_dual(w):
@@ -300,26 +358,7 @@ def cauchy_dual(w):
         If the interior operator norm exceeds the contraction gate
         ``1 + 1e-6`` (the Cauchy dual of a 2-isometry is a contraction).
     """
-    eigs = np.linalg.eigvalsh(w.mstar_m)
-    if eigs[0] <= 1e-10:
-        raise SingularFrame(f"frame section min eigenvalue {eigs[0]:.3e}")
-    dual = w.T @ np.linalg.inv(w.mstar_m)
-    keep = w.N - w.margin
-    nrm = float(np.linalg.norm(dual[:keep, :keep], 2))
-    if nrm > 1.0 + 1e-6:
-        raise NonConvergence(f"Cauchy dual interior norm {nrm:.9f} exceeds 1 + 1e-6")
-    return dual
-
-
-def _defect_form(t, n):
-    """``sum_j (-1)^j binom(n, j) (T^j)* T^j`` on the truncation."""
-    size = t.shape[0]
-    b = np.zeros((size, size), dtype=complex)
-    power = np.eye(size, dtype=complex)
-    for j in range(n + 1):
-        b += (-1) ** j * math.comb(n, j) * power.conj().T @ power
-        power = t @ power
-    return b
+    return _gated_dual(w)[0]
 
 
 def agler_min_eig(tp, n, margin):
@@ -329,7 +368,7 @@ def agler_min_eig(tp, n, margin):
     every order; a genuinely negative interior eigenvalue certifies
     failure.  The interior block shrinks by ``n`` extra rows because an
     ``n``-fold product of the truncated matrix corrupts entries within
-    ``n`` of the edge.
+    ``n`` of the edge.  The form is ``B_n`` of the defect recursion.
 
     Parameters
     ----------
@@ -344,13 +383,7 @@ def agler_min_eig(tp, n, margin):
     -------
     float
     """
-    if not 1 <= n <= 10:
-        raise ValidationError("defect order must be in 1..10")
-    keep = tp.shape[0] - margin - n
-    if keep < 2:
-        raise ValidationError("truncation too small for the requested order")
-    b = _defect_form(tp, n)
-    return float(np.linalg.eigvalsh(b[:keep, :keep])[0].real)
+    return _agler_curve(tp, (n,), margin)[n]
 
 
 def hyperexpansivity_max_eig(w, n):
@@ -358,7 +391,7 @@ def hyperexpansivity_max_eig(w, n):
 
     Complete hyperexpansivity demands the form be negative semidefinite
     for every ``n >= 1``; the order-2 form vanishes identically for a
-    2-isometry.
+    2-isometry.  The form is ``B_n`` of the defect recursion.
 
     Parameters
     ----------
@@ -370,13 +403,24 @@ def hyperexpansivity_max_eig(w, n):
     -------
     float
     """
-    if not 2 <= n <= 6:
-        raise ValidationError("hyperexpansivity order must be in 2..6")
-    keep = w.N - w.margin - n
-    if keep < 2:
-        raise ValidationError("truncation too small for the requested order")
-    b = _defect_form(w.T, n)
-    return float(np.linalg.eigvalsh(b[:keep, :keep])[-1].real)
+    return _shift_curve(w, (n,))[1][n]
+
+
+def _oracle_run(w, nmax):
+    """The report's oracle figures at one size: one recursion pass for
+    the dual (orders ``1..nmax``), one for the shift (orders 1..4), and
+    the dual's norm as its contraction gate read it."""
+    dual, dual_norm = _gated_dual(w)
+    agler = _agler_curve(dual, range(1, nmax + 1), w.margin)
+    defect, hyper = _shift_curve(w, (2, 3, 4))
+    return {
+        "N": w.N,
+        "shift_norm": w.norm_T,
+        "two_isometry_defect": defect,
+        "cauchy_dual_interior_norm": dual_norm,
+        "agler_min_eig": {str(n): v for n, v in agler.items()},
+        "hyperexpansivity_max_eig": {str(n): v for n, v in hyper.items()},
+    }
 
 
 @dataclass(frozen=True)

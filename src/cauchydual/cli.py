@@ -20,14 +20,12 @@ from .cdsp import sweep_angle
 from .debranges import build_identification, kernel_hb
 from .dirichlet import build_model, kernel_full, kernel_hat, kernel_tilde
 from .errors import ParseError, ToolkitError, ValidationError
-from .measure import parse_measure
+from .measure import _FLOAT, _NUMBER_RE, parse_measure
 from .report import build_report, render_csv, render_json, validate_report
 from .selftest import list_checks, run_selftest
 
 __all__ = ["main", "parse_complex"]
 
-_FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_RE_REAL = re.compile(rf"^[+-]?{_FLOAT}$")
 _RE_FULL = re.compile(rf"^([+-]?{_FLOAT})([+-]{_FLOAT})i$")
 _RE_IMAG = re.compile(rf"^([+-]?{_FLOAT})i$")
 
@@ -52,7 +50,7 @@ def parse_complex(text):
         If the literal does not match the grammar.
     """
     text = text.strip()
-    if _RE_REAL.match(text):
+    if _NUMBER_RE.match(text):
         return complex(float(text), 0.0)
     m = _RE_FULL.match(text)
     if m:

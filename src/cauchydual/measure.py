@@ -32,7 +32,8 @@ _SYMBOLIC_POINTS = {
     "-1": -1.0 + 0j,
     "-i": -1j,
 }
-_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(rf"^[+-]?{_FLOAT}$")
 
 
 @dataclass(frozen=True)

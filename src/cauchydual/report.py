@@ -18,13 +18,10 @@ import numpy as np
 import jsonschema
 
 from .cdsp import (
-    agler_min_eig,
+    _oracle_run,
     build_truncation,
-    cauchy_dual,
     closed_form_test,
     coupling_determinant,
-    hyperexpansivity_max_eig,
-    two_isometry_defect,
 )
 from .debranges import build_identification
 from .dirichlet import build_model
@@ -56,13 +53,17 @@ TOLERANCES = {
     "dual_contraction_gate": 1e-6,
 }
 
-_COMPLEX_SCHEMA = {
-    "type": "object",
-    "properties": {"re": {"type": "number"}, "im": {"type": "number"}},
-    "required": ["re", "im"],
-    "additionalProperties": False,
-}
+def _object(properties):
+    """Closed JSON object schema in which every listed property is required."""
+    return {
+        "type": "object",
+        "required": list(properties),
+        "additionalProperties": False,
+        "properties": properties,
+    }
 
+
+_COMPLEX_SCHEMA = _object({"re": {"type": "number"}, "im": {"type": "number"}})
 _COMPLEX_OR_NULL = {"oneOf": [{"$ref": "#/definitions/complex"}, {"type": "null"}]}
 _NUMBER_OR_NULL = {"type": ["number", "null"]}
 _COMPLEX_VECTOR = {"type": "array", "items": {"$ref": "#/definitions/complex"}}
@@ -72,146 +73,81 @@ _CURVE = {
     "patternProperties": {"^[0-9]+$": {"type": "number"}},
     "additionalProperties": False,
 }
+_POINT_MASS = _object(
+    {"point": {"$ref": "#/definitions/complex"}, "weight": {"type": "number"}}
+)
+_ORACLE_RUN = _object(
+    {
+        "N": {"type": "integer"},
+        "shift_norm": {"type": "number"},
+        "two_isometry_defect": {"type": "number"},
+        "cauchy_dual_interior_norm": {"type": "number"},
+        "agler_min_eig": _CURVE,
+        "hyperexpansivity_max_eig": _CURVE,
+    }
+)
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
     "definitions": {"complex": _COMPLEX_SCHEMA},
-    "required": [
-        "schema_version",
-        "measure",
-        "factorization",
-        "dirichlet_model",
-        "identification",
-        "cdsp",
-        "oracle",
-        "meta",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": "1"},
-        "measure": {
-            "type": "object",
-            "required": ["text", "atoms"],
-            "additionalProperties": False,
-            "properties": {
-                "text": {"type": "string"},
-                "atoms": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["point", "weight"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "point": {"$ref": "#/definitions/complex"},
-                            "weight": {"type": "number"},
-                        },
-                    },
-                },
-            },
-        },
-        "factorization": {
-            "type": "object",
-            "required": ["outer_roots", "inner_roots", "q", "a", "b", "c", "d"],
-            "additionalProperties": False,
-            "properties": {
-                "outer_roots": _COMPLEX_VECTOR,
-                "inner_roots": _COMPLEX_VECTOR,
-                "q": _COMPLEX_VECTOR,
-                "a": _NUMBER_OR_NULL,
-                "b": _NUMBER_OR_NULL,
-                "c": _NUMBER_OR_NULL,
-                "d": {"type": "number"},
-            },
-        },
-        "dirichlet_model": {
-            "type": "object",
-            "required": ["o_prime", "gram_f", "b_inv", "s", "m"],
-            "additionalProperties": False,
-            "properties": {
-                "o_prime": _COMPLEX_VECTOR,
-                "gram_f": _COMPLEX_MATRIX,
-                "b_inv": _COMPLEX_MATRIX,
-                "s": _COMPLEX_OR_NULL,
-                "m": _NUMBER_OR_NULL,
-            },
-        },
-        "identification": {
-            "type": "object",
-            "required": ["A", "P", "p_polys"],
-            "additionalProperties": False,
-            "properties": {
-                "A": _COMPLEX_MATRIX,
-                "P": _COMPLEX_MATRIX,
-                "p_polys": _COMPLEX_MATRIX,
-            },
-        },
-        "cdsp": {
-            "type": "object",
-            "required": [
-                "verdict",
-                "s_offdiag",
-                "root_products",
-                "coupling_det",
-                "citations",
-            ],
-            "additionalProperties": False,
-            "properties": {
-                "verdict": {
-                    "enum": ["NotSubnormal", "KnownSubnormal", "Inconclusive"]
-                },
-                "s_offdiag": _COMPLEX_OR_NULL,
-                "root_products": _COMPLEX_VECTOR,
-                "coupling_det": _COMPLEX_OR_NULL,
-                "citations": {"type": "array", "items": {"type": "string"}},
-            },
-        },
-        "oracle": {
-            "oneOf": [
-                {"type": "null"},
+    **_object(
+        {
+            "schema_version": {"const": "1"},
+            "measure": _object(
                 {
-                    "type": "object",
-                    "required": ["runs"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "runs": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "required": [
-                                    "N",
-                                    "shift_norm",
-                                    "two_isometry_defect",
-                                    "cauchy_dual_interior_norm",
-                                    "agler_min_eig",
-                                    "hyperexpansivity_max_eig",
-                                ],
-                                "additionalProperties": False,
-                                "properties": {
-                                    "N": {"type": "integer"},
-                                    "shift_norm": {"type": "number"},
-                                    "two_isometry_defect": {"type": "number"},
-                                    "cauchy_dual_interior_norm": {"type": "number"},
-                                    "agler_min_eig": _CURVE,
-                                    "hyperexpansivity_max_eig": _CURVE,
-                                },
-                            },
-                        }
+                    "text": {"type": "string"},
+                    "atoms": {"type": "array", "items": _POINT_MASS},
+                }
+            ),
+            "factorization": _object(
+                {
+                    "outer_roots": _COMPLEX_VECTOR,
+                    "inner_roots": _COMPLEX_VECTOR,
+                    "q": _COMPLEX_VECTOR,
+                    "a": _NUMBER_OR_NULL,
+                    "b": _NUMBER_OR_NULL,
+                    "c": _NUMBER_OR_NULL,
+                    "d": {"type": "number"},
+                }
+            ),
+            "dirichlet_model": _object(
+                {
+                    "o_prime": _COMPLEX_VECTOR,
+                    "gram_f": _COMPLEX_MATRIX,
+                    "b_inv": _COMPLEX_MATRIX,
+                    "s": _COMPLEX_OR_NULL,
+                    "m": _NUMBER_OR_NULL,
+                }
+            ),
+            "identification": _object(
+                {"A": _COMPLEX_MATRIX, "P": _COMPLEX_MATRIX, "p_polys": _COMPLEX_MATRIX}
+            ),
+            "cdsp": _object(
+                {
+                    "verdict": {
+                        "enum": ["NotSubnormal", "KnownSubnormal", "Inconclusive"]
                     },
-                },
-            ]
-        },
-        "meta": {
-            "type": "object",
-            "required": ["tolerances", "wall_time_s", "seed"],
-            "additionalProperties": False,
-            "properties": {
-                "tolerances": {"type": "object"},
-                "wall_time_s": {"type": "null"},
-                "seed": {"type": "integer"},
+                    "s_offdiag": _COMPLEX_OR_NULL,
+                    "root_products": _COMPLEX_VECTOR,
+                    "coupling_det": _COMPLEX_OR_NULL,
+                    "citations": {"type": "array", "items": {"type": "string"}},
+                }
+            ),
+            "oracle": {
+                "oneOf": [
+                    {"type": "null"},
+                    _object({"runs": {"type": "array", "items": _ORACLE_RUN}}),
+                ]
             },
-        },
-    },
+            "meta": _object(
+                {
+                    "tolerances": {"type": "object"},
+                    "wall_time_s": {"type": "null"},
+                    "seed": {"type": "integer"},
+                }
+            ),
+        }
+    ),
 }
 
 
@@ -322,28 +258,10 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
     }
 
     if not skip_oracle:
-        runs = []
-        for size in sorted({48, 64, 96, int(trunc)}):
-            w = build_truncation(mu, size)
-            dual = cauchy_dual(w)
-            keep = w.N - w.margin
-            runs.append(
-                {
-                    "N": size,
-                    "shift_norm": w.norm_T,
-                    "two_isometry_defect": two_isometry_defect(w),
-                    "cauchy_dual_interior_norm": float(
-                        np.linalg.norm(dual[:keep, :keep], 2)
-                    ),
-                    "agler_min_eig": {
-                        str(n): agler_min_eig(dual, n, w.margin)
-                        for n in range(1, int(nmax) + 1)
-                    },
-                    "hyperexpansivity_max_eig": {
-                        str(n): hyperexpansivity_max_eig(w, n) for n in (2, 3, 4)
-                    },
-                }
-            )
+        runs = [
+            _oracle_run(build_truncation(mu, size), int(nmax))
+            for size in sorted({48, 64, 96, int(trunc)})
+        ]
         doc["oracle"] = {"runs": runs}
     return doc
 

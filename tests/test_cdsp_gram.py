@@ -10,6 +10,7 @@ from cauchydual import (
     moment,
     quadrature_energy,
 )
+from cauchydual.cdsp import _radial_nodes
 
 
 def _basis(n):
@@ -112,3 +113,17 @@ def test_cross_energy_equals_polarized_energy(canonical_mu):
     got = cross_energy(f, g[:3], canonical_mu, 2)
     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
     assert cross_energy(f, [2.0], canonical_mu, 2) == 0.0
+
+
+def test_cross_energy_reuses_radial_nodes(monkeypatch, canonical_mu):
+    # Gauss-Legendre nodes are built once per radial count and shared
+    # read-only; a warm call must not rebuild them.
+    first = cross_energy(_basis(3), _basis(2), canonical_mu, 1)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("leggauss called on a warm cache")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", rebuilt)
+    assert cross_energy(_basis(3), _basis(2), canonical_mu, 1) == first
+    r, wr = _radial_nodes(64)
+    assert not r.flags.writeable and not wr.flags.writeable

@@ -1,6 +1,7 @@
 """Finite-section shift, Cauchy dual, and defect-form diagnostics."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from cauchydual import (
     NonConvergence,
     ValidationError,
     agler_min_eig,
+    build_report,
     build_truncation,
     cauchy_dual,
     hyperexpansivity_max_eig,
     make_measure,
     two_isometry_defect,
 )
+from cauchydual.cdsp import _defect_forms
 
 AGLER_N6_CANONICAL = -1.203254e-02
 
@@ -188,3 +191,48 @@ def test_shift_norm_bounded(property_measures):
         w96 = build_truncation(mu, 96)
         assert 1.0 <= w48.norm_T <= 6.0
         assert w96.norm_T >= w48.norm_T - 1e-9
+
+
+def _binomial_defect_form(t, n):
+    """Reference: the explicit sum ``sum_j (-1)^j binom(n, j) (T^j)* T^j``."""
+    size = t.shape[0]
+    b = np.zeros((size, size), dtype=complex)
+    power = np.eye(size, dtype=complex)
+    for j in range(n + 1):
+        b += (-1) ** j * math.comb(n, j) * power.conj().T @ power
+        power = t @ power
+    return b
+
+
+def test_defect_recursion_matches_binomial_sum(property_measures):
+    # The recursion B_n = B_{n-1} - T* B_{n-1} T is an exact identity on
+    # any square matrix, so it must match the binomial sum on the whole
+    # section, edge included, up to round-off of the sum's largest term.
+    for mu in property_measures:
+        w = build_truncation(mu, 96)
+        for t, orders in ((cauchy_dual(w), range(1, 7)), (w.T, range(2, 5))):
+            forms = list(_defect_forms(t, max(orders)))
+            assert len(forms) == max(orders)
+            scale = max(1.0, np.linalg.norm(t, 2))
+            for n in orders:
+                err = np.max(np.abs(forms[n - 1] - _binomial_defect_form(t, n)))
+                assert err <= 1e-14 * scale ** (2 * n)
+    assert list(_defect_forms(w.T, 0)) == []
+
+
+def test_report_oracle_equals_public_functions(property_measures):
+    for mu in property_measures[1:3]:
+        doc = build_report(mu, trunc=48, nmax=6)
+        for run in doc["oracle"]["runs"]:
+            w = build_truncation(mu, run["N"])
+            dual = cauchy_dual(w)
+            keep = w.N - w.margin
+            gate_norm = float(np.linalg.norm(dual[:keep, :keep], 2))
+            assert run["cauchy_dual_interior_norm"] == gate_norm
+            assert run["two_isometry_defect"] == two_isometry_defect(w)
+            assert run["agler_min_eig"] == {
+                str(n): agler_min_eig(dual, n, w.margin) for n in range(1, 7)
+            }
+            assert run["hyperexpansivity_max_eig"] == {
+                str(n): hyperexpansivity_max_eig(w, n) for n in (2, 3, 4)
+            }

@@ -32,6 +32,23 @@ def test_report_extra_trunc_size(canonical_mu):
     assert [run["N"] for run in doc["oracle"]["runs"]] == [48, 64, 80, 96]
 
 
+def test_report_two_norm_svds_per_size(monkeypatch, canonical_mu):
+    # One 2-norm for the shift and one for the dual's contraction gate,
+    # which the report reuses as cauchy_dual_interior_norm.
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    doc = build_report(canonical_mu, trunc=128, nmax=6)
+    assert len(doc["oracle"]["runs"]) == 4
+    assert len(calls) == 2 * 4
+
+
 def test_report_skip_oracle(canonical_mu):
     doc = build_report(canonical_mu, skip_oracle=True)
     validate_report(doc)
