@@ -58,6 +58,7 @@ from .errors import (
     NotPSD,
     ParseError,
     ResidualTooLarge,
+    SchemaViolation,
     SingularFrame,
     SingularGram,
     ToolkitError,
@@ -86,6 +87,7 @@ __all__ = [
     "NotPSD",
     "ParseError",
     "ResidualTooLarge",
+    "SchemaViolation",
     "SchurIdentification",
     "SingularFrame",
     "SingularGram",

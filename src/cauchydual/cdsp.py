@@ -468,11 +468,15 @@ def canonical_frame(mu):
     return make_measure(new_pts, mu.weights)
 
 
-def _overlap_scalars(mu):
+def _canonical_analysis(mu):
+    """Model and identification of ``mu`` in its canonical frame."""
+    model = build_model(canonical_frame(mu))
+    return model, build_identification(model)
+
+
+def _overlap_scalars(frame):
     """Canonical-frame overlap sum, root products, and threshold scale."""
-    mu_c = canonical_frame(mu)
-    model = build_model(mu_c)
-    ident = build_identification(model)
+    model, ident = frame
     alpha = model.fact.outer_roots
     p1 = np.array([poly_eval(pj, alpha[0]) for pj in ident.p_polys])
     p2 = np.array([poly_eval(pj, alpha[1]) for pj in ident.p_polys])
@@ -508,6 +512,12 @@ def closed_form_test(mu):
     -------
     CdspVerdict
     """
+    return _closed_form(mu, None)
+
+
+def _closed_form(mu, frame):
+    """:func:`closed_form_test`, reusing ``frame`` (the result of
+    :func:`_canonical_analysis`) for two atoms, or building it when None."""
     if mu.k == 1:
         return CdspVerdict(
             verdict="KnownSubnormal",
@@ -525,7 +535,7 @@ def closed_form_test(mu):
     pts = mu.points
     if abs(pts[0] + pts[1]) <= 1e-9:
         try:
-            s_offdiag, products, _ = _overlap_scalars(mu)
+            s_offdiag, products, _ = _overlap_scalars(frame or _canonical_analysis(mu))
         except ToolkitError:
             s_offdiag, products = None, ()
         return CdspVerdict(
@@ -534,7 +544,7 @@ def closed_form_test(mu):
             root_products=products,
             citations=(CITE_ANTIPODAL,),
         )
-    s_offdiag, products, scale = _overlap_scalars(mu)
+    s_offdiag, products, scale = _overlap_scalars(frame or _canonical_analysis(mu))
     nonzero = abs(s_offdiag) > 1e-8 * scale
     off_ray = all(not _in_ray(rp) for rp in products)
     if nonzero and off_ray:
@@ -576,9 +586,12 @@ def coupling_determinant(mu):
     """
     if mu.k != 2:
         raise ValidationError("coupling determinant requires exactly two atoms")
-    mu_c = canonical_frame(mu)
-    model = build_model(mu_c)
-    ident = build_identification(model)
+    return _coupling(_canonical_analysis(mu))
+
+
+def _coupling(frame):
+    """:func:`coupling_determinant` from a two-atom canonical ``frame``."""
+    model, ident = frame
     alpha = model.fact.outer_roots
     vals = np.array(
         [[poly_eval(pj, alpha[r]) for pj in ident.p_polys] for r in range(2)]

@@ -5,8 +5,9 @@ a point pair), ``sweep`` (CSV verdict sweep over atom angles), and
 ``selftest`` (frozen-value regression table).
 
 Exit codes are a stable contract: 0 success, 1 selftest mismatch, 2
-input validation failure, 3 numerical failure.  Wall time goes to
-standard error so identical runs stay byte-identical on standard out.
+input validation failure, 3 numerical failure or a report that breaks
+its schema.  Wall time goes to standard error so identical runs stay
+byte-identical on standard out.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Every error raised by the library derives from :class:`ToolkitError`, so
 callers can catch one base class.  The command line maps input-side errors
 (:class:`ParseError`, :class:`ValidationError`) to exit code 2 and
-numerical failures (everything else) to exit code 3.
+everything else (numerical failures, and a report that breaks its
+schema) to exit code 3.
 """
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "NotPSD",
     "ResidualTooLarge",
     "SingularFrame",
+    "SchemaViolation",
 ]
 
 
@@ -53,3 +55,7 @@ class ResidualTooLarge(ToolkitError):
 
 class SingularFrame(ToolkitError):
     """The truncated frame operator is singular; the Cauchy dual is undefined."""
+
+
+class SchemaViolation(ToolkitError):
+    """A report does not conform to its schema; the message names the JSON path."""

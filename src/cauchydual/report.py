@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
-import jsonschema
-
 from .cdsp import (
+    _canonical_analysis,
+    _closed_form,
+    _coupling,
     _oracle_run,
     build_truncation,
-    closed_form_test,
-    coupling_determinant,
 )
 from .debranges import build_identification
 from .dirichlet import build_model
+from .errors import SchemaViolation
 from .measure import format_measure
 
 __all__ = [
@@ -151,6 +152,108 @@ REPORT_SCHEMA = {
 }
 
 
+# Draft-07 type names; a bool is not a number, and an integral float is an
+# integer.  The first name that fits a value is its name in messages.
+_TYPES = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+_KEYWORDS = {"$schema", "definitions", "$ref", "type", "required", "properties",
+             "patternProperties", "additionalProperties", "items", "const", "enum",
+             "oneOf"}
+_REF_PREFIX = "#/definitions/"
+
+
+def _equal(a, b):
+    """Draft-07 equality: ``True`` is not ``1``, but ``1`` equals ``1.0``."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return type(a) is type(b) and a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _child(key):
+    return f".{key}" if key.isidentifier() else f"[{json.dumps(key)}]"
+
+
+def _fail(path, message):
+    raise SchemaViolation(f"{path}: {message}")
+
+
+def _check(value, schema, path, root=REPORT_SCHEMA):
+    """Raise :class:`SchemaViolation` at the first part of ``value`` that
+    breaks the draft-07 ``schema``, naming its JSON path.
+
+    Only the keywords in ``_KEYWORDS`` are implemented, and ``$ref`` only
+    as a ``#/definitions/<name>`` pointer into ``root``.  Any other keyword
+    raises ``NotImplementedError`` wherever its schema is reached; none is
+    ignored.
+    """
+    if not _KEYWORDS.issuperset(schema):
+        unknown = sorted(set(schema) - _KEYWORDS)
+        raise NotImplementedError(f"schema keywords not implemented: {unknown}")
+    if "$ref" in schema:
+        # Draft 07 ignores the siblings of $ref.
+        ref = schema["$ref"]
+        if not ref.startswith(_REF_PREFIX):
+            raise NotImplementedError(f"$ref {ref!r} is not #/definitions/<name>")
+        return _check(value, root["definitions"][ref[len(_REF_PREFIX):]], path, root)
+    names = schema.get("type")
+    if names is not None:
+        names = (names,) if isinstance(names, str) else names
+        if not any(_TYPES[name](value) for name in names):
+            got = next(name for name, test in _TYPES.items() if test(value))
+            _fail(path, f"expected {' or '.join(names)}, got {got}")
+    if "const" in schema and not _equal(value, schema["const"]):
+        _fail(path, f"expected {schema['const']!r}, got {value!r}")
+    if "enum" in schema and not any(_equal(value, o) for o in schema["enum"]):
+        _fail(path, f"{value!r} is not one of {schema['enum']!r}")
+    if isinstance(value, dict):
+        for name in schema.get("required", ()):
+            if name not in value:
+                _fail(path + _child(name), "required property is missing")
+        props = schema.get("properties", {})
+        patterns = schema.get("patternProperties", {})
+        additional = schema.get("additionalProperties", True)
+        if not isinstance(additional, bool):
+            raise NotImplementedError("additionalProperties other than true or false")
+        for key, item in value.items():
+            matched = key in props
+            if matched:
+                _check(item, props[key], path + _child(key), root)
+            for pattern, sub in patterns.items():
+                if re.search(pattern, key):
+                    matched = True
+                    _check(item, sub, path + _child(key), root)
+            if not matched and not additional:
+                _fail(path + _child(key), "property is not allowed")
+    if isinstance(value, list) and "items" in schema:
+        if not isinstance(schema["items"], dict):
+            raise NotImplementedError("items other than a single schema")
+        for i, item in enumerate(value):
+            _check(item, schema["items"], f"{path}[{i}]", root)
+    if "oneOf" in schema:
+        errors = []
+        for sub in schema["oneOf"]:
+            try:
+                _check(value, sub, path, root)
+            except SchemaViolation as exc:
+                errors.append(str(exc))
+        matches = len(schema["oneOf"]) - len(errors)
+        if matches != 1:
+            _fail(path, f"matches {matches} of the oneOf branches, not exactly one "
+                  f"({'; '.join(errors)})")
+
+
 def _cpx(value):
     value = complex(value)
     return {"re": float(value.real), "im": float(value.imag)}
@@ -207,8 +310,11 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
     """
     model = build_model(mu)
     ident = build_identification(model)
-    verdict = closed_form_test(mu)
-    coupling = coupling_determinant(mu) if mu.k == 2 else None
+    # closed_form_test and coupling_determinant share one canonical-frame
+    # model for two atoms.
+    frame = _canonical_analysis(mu) if mu.k == 2 else None
+    verdict = _closed_form(mu, frame)
+    coupling = _coupling(frame) if frame else None
     a, b, c = _canonical_form_constants(model)
 
     doc = {
@@ -333,7 +439,8 @@ def validate_report(doc):
     """Validate a report dict against the embedded JSON schema.
 
     Runs on the parsed form of the rendered text so the check covers the
-    serializer as well.
+    serializer as well.  ``_check`` implements the draft-07 keywords that
+    ``REPORT_SCHEMA`` uses.
 
     Parameters
     ----------
@@ -341,10 +448,11 @@ def validate_report(doc):
 
     Raises
     ------
-    jsonschema.ValidationError
-        If the document does not conform.
+    SchemaViolation
+        If the document does not conform; the message names the JSON path
+        of the first offending part, e.g. ``$.cdsp.verdict``.
     """
-    jsonschema.validate(json.loads(render_json(doc)), REPORT_SCHEMA)
+    _check(json.loads(render_json(doc)), REPORT_SCHEMA, "$")
 
 
 def _csv_cell(value):

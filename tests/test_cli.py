@@ -79,6 +79,36 @@ def test_analyze_with_oracle(capsys):
     assert [run["N"] for run in doc["oracle"]["runs"]] == [48, 64, 96]
 
 
+def test_analyze_schema_violation_is_exit_3(capsys, monkeypatch):
+    import cauchydual.cli as cli
+
+    build = cli.build_report
+
+    def broken(*args, **kwargs):
+        doc = build(*args, **kwargs)
+        doc["cdsp"]["verdict"] = "Maybe"
+        return doc
+
+    monkeypatch.setattr(cli, "build_report", broken)
+    code, out, err = _run(["analyze", "--measure", "1;i", "--skip-oracle"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "error: SchemaViolation: $.cdsp.verdict: " in err
+
+
+def test_analyze_does_not_import_jsonschema():
+    code = (
+        "import sys\n"
+        "from cauchydual.cli import main\n"
+        "assert main(['analyze', '--measure', '1;i']) == 0\n"
+        "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_analyze_bad_measure(capsys):
     code, _, err = _run(["analyze", "--measure", "bogus"], capsys)
     assert code == 2

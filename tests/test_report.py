@@ -7,14 +7,24 @@ import numpy as np
 import pytest
 
 from cauchydual import (
+    SchemaViolation,
     build_report,
+    closed_form_test,
+    coupling_determinant,
     make_measure,
     render_csv,
     render_json,
     sweep_angle,
     validate_report,
 )
-from cauchydual.report import SWEEP_CSV_HEADER, _render
+from cauchydual import cdsp, report
+from cauchydual.report import (
+    REPORT_SCHEMA,
+    SWEEP_CSV_HEADER,
+    _check,
+    _cpx,
+    _render,
+)
 
 
 def test_report_validates_with_oracle(canonical_mu):
@@ -47,6 +57,25 @@ def test_report_two_norm_svds_per_size(monkeypatch, canonical_mu):
     doc = build_report(canonical_mu, trunc=128, nmax=6)
     assert len(doc["oracle"]["runs"]) == 4
     assert len(calls) == 2 * 4
+
+
+def test_report_builds_canonical_model_once(monkeypatch):
+    # A two-atom report builds the model in the input frame and once in
+    # the canonical frame, which the verdict and the coupling share.
+    mu = make_measure([np.exp(0.4j), np.exp(2.0j)], [1.0, 1.3])
+    calls = []
+    for module in (cdsp, report):
+        monkeypatch.setattr(
+            module, "build_model",
+            lambda m, real=module.build_model: calls.append(m) or real(m),
+        )
+    doc = build_report(mu, skip_oracle=True)
+    assert len(calls) == 2
+    verdict = closed_form_test(mu)
+    assert doc["cdsp"]["verdict"] == verdict.verdict
+    assert doc["cdsp"]["s_offdiag"] == _cpx(verdict.s_offdiag)
+    assert doc["cdsp"]["root_products"] == [_cpx(p) for p in verdict.root_products]
+    assert doc["cdsp"]["coupling_det"] == _cpx(coupling_determinant(mu))
 
 
 def test_report_skip_oracle(canonical_mu):
@@ -116,23 +145,193 @@ def test_render_rejects_unknown_type():
 def test_validate_catches_missing_field(canonical_mu):
     doc = build_report(canonical_mu, skip_oracle=True)
     del doc["cdsp"]["verdict"]
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SchemaViolation):
         validate_report(doc)
 
 
 def test_validate_catches_extra_field(canonical_mu):
     doc = build_report(canonical_mu, skip_oracle=True)
     doc["unexpected"] = 1
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SchemaViolation):
         validate_report(doc)
 
 
 def test_validate_catches_bad_verdict(canonical_mu):
     doc = build_report(canonical_mu, skip_oracle=True)
     doc["cdsp"]["verdict"] = "Maybe"
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SchemaViolation):
         validate_report(doc)
 
+
+def _parity_reports():
+    """Reports for seeded measures with 1-8 atoms, with and without the
+    oracle, fewest atoms first."""
+    rng = np.random.default_rng(20231)
+    docs = []
+    for k in range(1, 9):
+        angles = (rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(k) / k
+                  + rng.uniform(-0.2, 0.2, k) * np.pi / k)
+        mu = make_measure(np.exp(1j * angles), rng.uniform(0.7, 1.4, k))
+        for skip in (True, False):
+            docs.append(render_json(build_report(mu, nmax=2, skip_oracle=skip)))
+    return docs
+
+
+def _nodes(value, path=()):
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _nodes(item, (*path, key))
+
+
+_REPLACEMENTS = [None, True, 1, 1.5, "s", [], {}, {"re": 1.0}]
+
+
+def _mutations(value):
+    """Names and functions ``f(parent, key)`` that mutate one node in place."""
+    def replace(new):
+        return lambda parent, key: parent.__setitem__(key, new)
+
+    def delete(parent, key):
+        del parent[key]
+
+    yield "delete", delete
+    if isinstance(value, dict):
+        # "7" matches the curves' order pattern; "extra" matches nothing.
+        yield "key 7", lambda parent, key: parent[key].__setitem__("7", 0.5)
+        yield "key extra", lambda parent, key: parent[key].__setitem__("extra", 0)
+    if isinstance(value, list):
+        if value:
+            yield "copy item", lambda parent, key: parent[key].append(parent[key][-1])
+        yield "item 0", lambda parent, key: parent[key].append(0)
+    for new in _REPLACEMENTS:
+        yield f"replace {new!r}", replace(new)
+
+
+def _shape(path, value):
+    """Nodes with the same shape sit under the same subschema and hold the
+    same JSON type: array indices and curve orders are generalized."""
+    parts = tuple("[]" if isinstance(p, int) else "{n}" if p.isdigit() else p
+                  for p in path)
+    return parts, type(value).__name__, bool(value) if isinstance(value, list) else None
+
+
+def _accepts(validate):
+    try:
+        validate()
+    except SchemaViolation:
+        return False
+    return True
+
+
+def test_validator_matches_jsonschema_on_mutated_reports():
+    # jsonschema is the reference: the built-in validator must accept or
+    # reject every mutated report exactly when Draft7Validator does.  A
+    # mutation's outcome depends only on the node's shape (see _shape),
+    # so each (shape, mutation) pair is checked once, in the first report
+    # that holds it; every node below the root of every report is covered
+    # by its shape.
+    jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
+    reference = jsonschema.Draft7Validator(REPORT_SCHEMA)
+    seen = set()
+    checked = rejected = 0
+    for text in _parity_reports():
+        base = json.loads(text)
+        assert reference.is_valid(base)
+        validate_report(base)
+        for path, value in _nodes(base):
+            if not path:
+                continue
+            for name, mutate in _mutations(value):
+                key = (_shape(path, value), name)
+                if key in seen:
+                    continue
+                seen.add(key)
+                doc = json.loads(text)
+                parent = doc
+                for part in path[:-1]:
+                    parent = parent[part]
+                mutate(parent, path[-1])
+                expected = reference.is_valid(doc)
+                got = _accepts(lambda: _check(doc, REPORT_SCHEMA, "$"))
+                assert got == expected, (path, name)
+                checked += 1
+                rejected += not expected
+                # validate_report checks the rendered text, which the
+                # serializer may refuse (a string in a complex pair) or
+                # coerce (a bool there prints as a number).
+                try:
+                    rendered = json.loads(render_json(doc))
+                except (TypeError, ValueError) as exc:
+                    with pytest.raises(type(exc)):
+                        validate_report(doc)
+                    continue
+                if json.dumps(rendered) != json.dumps(doc):
+                    expected = reference.is_valid(rendered)
+                assert _accepts(lambda: validate_report(doc)) == expected, (path, name)
+    assert checked > 1000 and 0 < rejected < checked
+
+
+def test_validator_names_the_path(canonical_mu):
+    doc = build_report(canonical_mu, nmax=2)
+    doc["oracle"]["runs"][1]["agler_min_eig"]["2"] = "x"
+    # The oneOf at $.oracle fails, and the message carries each branch's
+    # own failure with its path.
+    with pytest.raises(SchemaViolation, match=r"^\$\.oracle: matches 0 ") as exc:
+        validate_report(doc)
+    assert '$.oracle.runs[1].agler_min_eig["2"]: expected number' in str(exc.value)
+    doc = build_report(canonical_mu, skip_oracle=True)
+    doc["cdsp"]["verdict"] = True
+    with pytest.raises(SchemaViolation, match=r"^\$\.cdsp\.verdict: "):
+        validate_report(doc)
+
+
+def test_validator_refuses_unknown_keywords():
+    for schema in (
+        {"type": "number", "minimum": 0},
+        {"type": "array", "items": {"additionalProperties": {"type": "string"}}},
+        {"type": "array", "items": [{"type": "number"}]},
+        {"$ref": "#/$defs/x"},
+    ):
+        with pytest.raises(NotImplementedError):
+            _check([{"a": 1}], schema, "$", schema)
+    with pytest.raises(NotImplementedError, match="minimum"):
+        _check(1, {"minimum": 0}, "$", {})
+
+
+def _draft7(schema):
+    return lambda value: _check(value, schema, "$", schema)
+
+
+def test_validator_draft7_types_and_equality():
+    integer = _draft7({"type": "integer"})
+    integer(3)
+    integer(3.0)
+    for bad in (True, 3.5, "3", None):
+        with pytest.raises(SchemaViolation, match=r"^\$: expected integer"):
+            integer(bad)
+    with pytest.raises(SchemaViolation, match="got boolean"):
+        _draft7({"type": "number"})(False)
+    _draft7({"type": ["string", "null"]})(None)
+    for schema, good, bad in (
+        ({"const": 1}, 1.0, True),
+        ({"enum": [1, "a"]}, 1.0, True),
+        ({"const": [1]}, [1.0], [True]),
+    ):
+        _draft7(schema)(good)
+        with pytest.raises(SchemaViolation):
+            _draft7(schema)(bad)
+    one_of = _draft7({"oneOf": [{"type": "number"}, {"type": "integer"}]})
+    one_of(1.5)
+    with pytest.raises(SchemaViolation, match="matches 2"):
+        one_of(1)
+    curve = _draft7({"patternProperties": {"^[0-9]+$": {"type": "number"}},
+                     "additionalProperties": False})
+    curve({"12": 0.5})
+    for bad in ({"12": "x"}, {"x12": 0.5}):
+        with pytest.raises(SchemaViolation):
+            curve(bad)
 
 def test_meta_block(canonical_mu):
     meta = build_report(canonical_mu, skip_oracle=True)["meta"]
