@@ -321,10 +321,16 @@ def two_isometry_defect(w):
 
 
 def _gated_dual(w):
-    """Cauchy dual and the interior norm its contraction gate read."""
-    eigs = np.linalg.eigvalsh(w.mstar_m)
-    if eigs[0] <= 1e-10:
-        raise SingularFrame(f"frame section min eigenvalue {eigs[0]:.3e}")
+    """Cauchy dual and the interior norm its contraction gate read.
+
+    By Sylvester's law of inertia, ``min eig(mstar_m) > 1e-10`` exactly when
+    ``mstar_m - 1e-10 I`` has a Cholesky factor; eigenvalues only name a failure.
+    """
+    try:
+        np.linalg.cholesky(w.mstar_m - 1e-10 * np.eye(w.N))
+    except np.linalg.LinAlgError:
+        eigs = np.linalg.eigvalsh(w.mstar_m)
+        raise SingularFrame(f"frame section min eigenvalue {eigs[0]:.3e}") from None
     dual = w.T @ np.linalg.inv(w.mstar_m)
     keep = w.N - w.margin
     nrm = float(np.linalg.norm(dual[:keep, :keep], 2))

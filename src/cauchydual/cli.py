@@ -75,8 +75,7 @@ def _cmd_analyze(args):
     doc = build_report(
         mu, trunc=args.trunc, nmax=args.nmax, skip_oracle=args.skip_oracle
     )
-    validate_report(doc)
-    _write_text(args.out, render_json(doc))
+    _write_text(args.out, validate_report(doc))
     return 0
 
 

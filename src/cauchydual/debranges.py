@@ -8,9 +8,11 @@ triangular yields polynomials ``p_j`` and a Schur-class row
 ``B = (p_1/q, ..., p_k/q)`` whose de Branges-Rovnyak kernel coincides
 with the D(mu) kernel.
 
-``A`` is obtained by bivariate polynomial interpolation of the kernel
-numerator; the leading row and column of the raw coefficient matrix must
-vanish (that is the kernel normalization at the origin) and are deleted.
+``A`` is assembled in closed form from outer products of the coefficient
+vectors of ``q``, of the atom polynomial and of the polynomials over all
+atoms but one; the leading row and column of the raw coefficient matrix
+must vanish (that is the kernel normalization at the origin) and are
+deleted.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import poly_eval
+from .cpoly import poly_eval, poly_from_roots
 from .errors import NotPSD, ResidualTooLarge
 
 __all__ = [
@@ -32,46 +34,38 @@ __all__ = [
 ]
 
 
-def _numerator_expression(model):
-    """Bivariate kernel numerator ``E(z, wb)`` as a callable.
+def _numerator_grid(model, z, wb):
+    """Kernel numerator ``E(z_i, wb_j)`` at every pair of two point arrays.
 
     ``E(z, wb) = q(z) qc(wb) - p(z) pc(wb) / d * (1 + (1 - z wb) * S)``
     where ``qc, pc`` carry conjugated coefficients, and ``S`` is the
     double sum of conjugated Gram-inverse entries against simple poles at
-    the atoms.  Polynomial in both arguments; ``wb`` stands for the
-    conjugated second kernel variable.
+    the atoms.  ``wb`` stands for the conjugated second kernel variable.
     """
     pts = model.mu.points
-    k = model.mu.k
-    q = model.fact.q
-    qc = np.conj(q)
-    p = model.atom_poly
-    pc = np.conj(p)
-    d = model.fact.d
     op = model.o_prime
-    binv_c = np.conj(model.b_inv)
-
-    def expr(z, wb):
-        s = 0j
-        for r in range(k):
-            for t in range(k):
-                s += binv_c[r, t] / (
-                    op[r] * np.conj(op[t]) * (z - pts[r]) * (wb - np.conj(pts[t]))
-                )
-        return poly_eval(q, z) * poly_eval(qc, wb) - poly_eval(p, z) * poly_eval(
-            pc, wb
-        ) / d * (1.0 + (1.0 - z * wb) * s)
-
-    return expr
+    zpow = z[:, None] ** np.arange(pts.size + 1)
+    wpow = wb[:, None] ** np.arange(pts.size + 1)
+    qq = np.outer(zpow @ model.fact.q, wpow @ np.conj(model.fact.q))
+    pp = np.outer(zpow @ model.atom_poly, wpow @ np.conj(model.atom_poly))
+    poles_z = 1.0 / (op * (z[:, None] - pts))
+    poles_wb = 1.0 / (np.conj(op) * (wb[:, None] - np.conj(pts)))
+    s = poles_z @ np.conj(model.b_inv) @ poles_wb.T
+    return qq - pp / model.fact.d * (1.0 + (1.0 - np.outer(z, wb)) * s)
 
 
 def compute_A(model):
     """Coefficient matrix of the de Branges-Rovnyak kernel numerator.
 
-    Interpolates the bivariate numerator on a ``(k+1) x (k+1)`` node grid,
-    solves for the coefficients of ``z^i * wb^j``, checks that the 0-row
-    and 0-column vanish, validates the interpolant on an independent grid,
-    and returns the Hermitian ``k x k`` block ``A[i, j] =`` coefficient of
+    With ``N_r = prod_{j != r} (z - zeta_j)`` as the rows of ``N`` and
+    ``C[r, t] = conj(b_inv[r, t]) / (O'(zeta_r) conj(O'(zeta_t)))``, the
+    pole sum ``p(z) pc(wb) S`` of the numerator has coefficients
+    ``Phi = N^T C conj(N)``, so the coefficients of ``z^i * wb^j`` are
+    ``outer(q, conj q) - (outer(p, conj p) + Phi - z wb Phi) / d``, with
+    ``z wb Phi`` the matrix ``Phi`` moved one row and one column down.
+    Checks that the 0-row and 0-column vanish and that the coefficients
+    reproduce the numerator on an independent grid, and returns the
+    Hermitian ``k x k`` block ``A[i, j] =`` coefficient of
     ``z^(i+1) * wb^(j+1)``.
 
     Parameters
@@ -92,15 +86,13 @@ def compute_A(model):
         If the matrix has an eigenvalue below ``-1e-8 * trace``.
     """
     k = model.mu.k
-    expr = _numerator_expression(model)
-
-    radii = (0.3, 0.55, 0.8)
-    nodes = np.array(
-        [radii[j % 3] * np.exp(2j * np.pi * j / (k + 1)) for j in range(k + 1)]
-    )
-    vand = nodes[:, None] ** np.arange(k + 1)[None, :]
-    emat = np.array([[expr(za, wb) for wb in nodes] for za in nodes])
-    ahat = np.linalg.solve(vand, np.linalg.solve(vand, emat.T).T)
+    q, p, d = model.fact.q, model.atom_poly, model.fact.d
+    nmat = np.array([poly_from_roots(np.delete(model.mu.points, r)) for r in range(k)])
+    coup = np.conj(model.b_inv) / np.outer(model.o_prime, np.conj(model.o_prime))
+    phi = nmat.T @ coup @ np.conj(nmat) / d
+    ahat = np.outer(q, np.conj(q)) - np.outer(p, np.conj(p)) / d
+    ahat[:k, :k] -= phi
+    ahat[1:, 1:] += phi
 
     edge = max(float(np.max(np.abs(ahat[0, :]))), float(np.max(np.abs(ahat[:, 0]))))
     if edge > 1e-8:
@@ -108,20 +100,12 @@ def compute_A(model):
             f"kernel numerator has nonvanishing origin coefficients ({edge:.3e})"
         )
 
-    check_radii = (0.45, 0.7, 0.9)
-    check = np.array(
-        [check_radii[j % 3] * np.exp(2j * np.pi * (j + 0.5) / (k + 2)) for j in range(k + 2)]
-    )
-    worst = 0.0
-    scale = 1.0
-    for za in check:
-        zpow = za ** np.arange(k + 1)
-        for wb in check:
-            wpow = wb ** np.arange(k + 1)
-            target = expr(za, wb)
-            fit = zpow @ ahat @ wpow
-            worst = max(worst, abs(fit - target))
-            scale = max(scale, abs(target))
+    j = np.arange(k + 2)
+    check = np.array([0.45, 0.7, 0.9])[j % 3] * np.exp(2j * np.pi * (j + 0.5) / (k + 2))
+    target = _numerator_grid(model, check, check)
+    cpow = check[:, None] ** np.arange(k + 1)
+    worst = float(np.max(np.abs(cpow @ ahat @ cpow.T - target)))
+    scale = max(1.0, float(np.max(np.abs(target))))
     if worst > 1e-8 * scale:
         raise ResidualTooLarge(
             f"interpolation residual {worst:.3e} exceeds 1e-8 * {scale:.3e}"

@@ -397,7 +397,7 @@ def _render(value, level):
     if isinstance(value, dict):
         if not value:
             return "{}"
-        if set(value.keys()) == {"re", "im"}:
+        if value.keys() == {"re", "im"} and all(map(_TYPES["number"], value.values())):
             return (
                 "{"
                 + f'"re": {_fmt_float(value["re"])}, "im": {_fmt_float(value["im"])}'
@@ -446,13 +446,20 @@ def validate_report(doc):
     ----------
     doc : dict
 
+    Returns
+    -------
+    str
+        The checked text, ``render_json(doc)``.
+
     Raises
     ------
     SchemaViolation
         If the document does not conform; the message names the JSON path
         of the first offending part, e.g. ``$.cdsp.verdict``.
     """
-    _check(json.loads(render_json(doc)), REPORT_SCHEMA, "$")
+    text = render_json(doc)
+    _check(json.loads(text), REPORT_SCHEMA, "$")
+    return text
 
 
 def _csv_cell(value):

@@ -8,6 +8,7 @@ import pytest
 
 from cauchydual import (
     NonConvergence,
+    SingularFrame,
     ValidationError,
     agler_min_eig,
     build_report,
@@ -236,3 +237,34 @@ def test_report_oracle_equals_public_functions(property_measures):
             assert run["hyperexpansivity_max_eig"] == {
                 str(n): hyperexpansivity_max_eig(w, n) for n in (2, 3, 4)
             }
+
+
+def test_frame_gate_makes_no_eigvalsh_call(monkeypatch, canonical_mu):
+    w = build_truncation(canonical_mu, 64)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a is w.mstar_m)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cauchy_dual(w)
+    assert calls == []
+
+
+@pytest.mark.parametrize("smallest, passes", [(2e-10, True), (5e-11, False)])
+def test_frame_gate_bound(canonical_mu, smallest, passes):
+    # T = 0 keeps the contraction gate out of the way, so only the frame
+    # gate ``min eig(mstar_m) > 1e-10`` decides.
+    w = build_truncation(canonical_mu, 8)
+    w = dataclasses.replace(
+        w,
+        T=np.zeros_like(w.T),
+        mstar_m=np.diag([1.0, smallest, 3.0, 1.0, 2.0, 1.0, 1.0, 4.0]).astype(complex),
+    )
+    if passes:
+        assert np.max(np.abs(cauchy_dual(w))) == 0.0
+    else:
+        with pytest.raises(SingularFrame, match="min eigenvalue 5.000e-11"):
+            cauchy_dual(w)

@@ -255,3 +255,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "cdsp.verdict" in proc.stdout
+
+
+def test_analyze_renders_once(capsys, monkeypatch):
+    import cauchydual.cli as cli
+    import cauchydual.report as report
+
+    calls = []
+    render = report.render_json
+
+    def counted(doc):
+        calls.append(1)
+        return render(doc)
+
+    monkeypatch.setattr(report, "render_json", counted)
+    monkeypatch.setattr(cli, "render_json", counted)
+    code, out, _ = _run(["analyze", "--measure", "1;i", "--skip-oracle"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert out == render(cli.build_report(cli.parse_measure("1;i"), skip_oracle=True))

@@ -5,6 +5,7 @@ import pytest
 
 from cauchydual import (
     NotPSD,
+    ResidualTooLarge,
     build_identification,
     build_model,
     cholesky_upper,
@@ -12,9 +13,11 @@ from cauchydual import (
     kernel_full,
     kernel_hb,
     make_measure,
+    parse_measure,
     poly_eval,
     schur_row_eval,
 )
+from cauchydual import cpoly, debranges
 
 A11 = 17.1334199164530
 A12 = -5.46269136247035 - 5.46269136247035j
@@ -162,3 +165,94 @@ def test_p_polys_degree_bound(property_measures):
         for pj in ident.p_polys:
             assert pj.size == mu.k + 1
             assert poly_eval(pj, 0.0 + 0j) == 0.0
+
+
+def _numerator_at(model, z, wb):
+    # Per-point reference for the kernel numerator E(z, wb).
+    pts = model.mu.points
+    op = model.o_prime
+    s = sum(
+        np.conj(model.b_inv[r, t])
+        / (op[r] * np.conj(op[t]) * (z - pts[r]) * (wb - np.conj(pts[t])))
+        for r in range(model.mu.k)
+        for t in range(model.mu.k)
+    )
+    q, p = model.fact.q, model.atom_poly
+    return poly_eval(q, z) * poly_eval(np.conj(q), wb) - poly_eval(
+        p, z
+    ) * poly_eval(np.conj(p), wb) / model.fact.d * (1.0 + (1.0 - z * wb) * s)
+
+
+def _interpolated_a(model):
+    # Reference: fit the numerator's coefficients by two Vandermonde solves
+    # on a (k+1) x (k+1) node grid.
+    k = model.mu.k
+    radii = (0.3, 0.55, 0.8)
+    nodes = np.array(
+        [radii[j % 3] * np.exp(2j * np.pi * j / (k + 1)) for j in range(k + 1)]
+    )
+    vand = nodes[:, None] ** np.arange(k + 1)[None, :]
+    emat = np.array([[_numerator_at(model, za, wb) for wb in nodes] for za in nodes])
+    ahat = np.linalg.solve(vand, np.linalg.solve(vand, emat.T).T)
+    return ahat[1:, 1:]
+
+
+def _seeded_measure(rng, k):
+    spacing = 2.0 * np.pi / k
+    angles = rng.uniform(0.0, 2.0 * np.pi) + spacing * (
+        np.arange(k) + rng.uniform(-0.15, 0.15, k)
+    )
+    return make_measure(list(np.exp(1j * angles)), list(rng.uniform(0.7, 1.4, k)))
+
+
+def test_closed_form_a_matches_interpolation():
+    rng = np.random.default_rng(71)
+    for k in range(1, 9):
+        for _ in range(3):
+            model = build_model(_seeded_measure(rng, k))
+            want = _interpolated_a(model)
+            got = compute_A(model)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_numerator_grid_matches_pointwise():
+    rng = np.random.default_rng(72)
+    for k in (1, 2, 5, 8):
+        model = build_model(_seeded_measure(rng, k))
+        z, wb = (
+            0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+            for n in (4, 3)
+        )
+        grid = debranges._numerator_grid(model, z, wb)
+        want = np.array([[_numerator_at(model, a, b) for b in wb] for a in z])
+        assert grid.shape == (4, 3)
+        assert np.max(np.abs(grid - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_compute_a_single_atom_is_outer_root():
+    # One unit atom: A = (3 + sqrt 5) / 2, the outer root of the weight
+    # numerator.
+    a = compute_A(build_model(parse_measure("1")))
+    exact = (3.0 + np.sqrt(5.0)) / 2.0
+    assert a.shape == (1, 1)
+    assert abs(a[0, 0] - exact) <= 1e-14 * exact
+
+
+def test_compute_a_makes_no_pointwise_evaluations(monkeypatch):
+    models = [build_model(parse_measure(m)) for m in ("1", "1;i", "1;i;-1:w=2")]
+    calls = []
+
+    def counted(p, z):
+        calls.append(1)
+        return cpoly.poly_eval(p, z)
+
+    monkeypatch.setattr(debranges, "poly_eval", counted)
+    for model in models:
+        compute_A(model)
+    assert calls == []
+
+
+def test_compute_a_half_degree_separation_fails_origin_gate():
+    model = build_model(parse_measure("deg:0;deg:0.5"))
+    with pytest.raises(ResidualTooLarge, match="nonvanishing origin coefficients"):
+        compute_A(model)

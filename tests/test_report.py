@@ -383,3 +383,18 @@ def test_report_rotation_keeps_verdict(canonical_mu):
     sa = doc_a["cdsp"]["s_offdiag"]
     sb = doc_b["cdsp"]["s_offdiag"]
     assert abs(sa["re"] - sb["re"]) <= 1e-8 * abs(sa["re"])
+
+
+def test_validate_rejects_non_numeric_complex_parts(canonical_mu):
+    # A {"re", "im"} dict renders compactly only when both parts are real
+    # numbers; anything else is rendered as it is and refused by the schema.
+    doc = build_report(canonical_mu, skip_oracle=True)
+    doc["cdsp"]["s_offdiag"] = {"re": True, "im": "2.5"}
+    assert '"re": true' in render_json(doc)
+    with pytest.raises(SchemaViolation, match=r"^\$\.cdsp\.s_offdiag"):
+        validate_report(doc)
+
+
+def test_validate_returns_the_checked_text(canonical_mu):
+    doc = build_report(canonical_mu, skip_oracle=True)
+    assert validate_report(doc) == render_json(doc)
