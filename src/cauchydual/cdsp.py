@@ -13,7 +13,14 @@ Two independent routes:
    the Agler / hyperexpansivity defect forms on an interior block that
    absorbs truncation edge effects.  Every defect form comes from one
    recursion, ``B_n = B_{n-1} - T* B_{n-1} T`` from ``B_0 = I``, which
-   walks all orders in one pass at two matmuls each.
+   walks all orders in one pass at two matmuls each.  A form's extreme
+   interior eigenvalue is read from a probe rather than a full
+   eigendecomposition: by the local Dirichlet formula every form of a
+   k-atom measure has rank k <= 8, so its first 16 interior columns span
+   its range.  Projecting onto them gives a 16 x 16 form whose spectrum,
+   joined by 0, lies within the projection residual of the block's
+   spectrum (Weyl's inequality); a residual above ``CERT_REL`` of the
+   block's norm falls back to ``eigvalsh`` of the whole block.
 
 Scalars produced by the closed-form route (overlap sum, coupling
 determinant) are computed in a canonical rotation frame: atoms sorted by
@@ -33,7 +40,7 @@ from .cpoly import poly_eval
 from .debranges import build_identification, cholesky_upper
 from .dirichlet import build_model
 from .errors import NonConvergence, SingularFrame, ToolkitError, ValidationError
-from .measure import MeasureSpec, make_measure, moment
+from .measure import MeasureSpec, make_measure
 
 __all__ = [
     "gram_monomials",
@@ -54,6 +61,17 @@ __all__ = [
 ]
 
 QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
+
+# The interior defect forms' extreme eigenvalues come from a probe of this
+# many leading columns (twice the grammar's 8 atoms), accepted when the
+# probe's residual is at most CERT_REL of the form's Frobenius norm (or 1).
+PROBE_COLS = 16
+CERT_REL = 1e-9
+
+# Orders accepted by agler_min_eig (and the report's nmax) and by
+# hyperexpansivity_max_eig.
+AGLER_ORDERS = range(1, 11)
+HYPER_ORDERS = range(2, 7)
 
 CITE_SINGLE_ATOM = (
     "one-atom case: the shift on a one-atom weighted Dirichlet space has a "
@@ -89,7 +107,12 @@ def gram_monomials(mu, n):
     if n < 2:
         raise ValidationError("gram_monomials needs size >= 2")
     idx = np.arange(n)
-    pos = np.array([moment(mu, l) for l in range(n)], dtype=complex)
+    # moment(mu, l) for every l at once, bit for bit: only the scalar
+    # exponent 2 takes NumPy's square fast path, so that row is redone.
+    powers = np.conj(mu.points)[None, :] ** idx[:, None]
+    if n > 2:
+        powers[2] = np.conj(mu.points) ** 2
+    pos = np.sum(mu.weights * powers, axis=1)
     full = np.concatenate((np.conj(pos[:0:-1]), pos))
     diffs = idx[None, :] - idx[:, None]
     band = full[diffs + n - 1]
@@ -269,22 +292,57 @@ def _defect_forms(t, nmax):
         yield b
 
 
-def _keep(size, n, margin, lo, hi, kind):
-    """Interior size for the order-``n`` form; ``n`` must lie in ``lo..hi``."""
-    if not lo <= n <= hi:
-        raise ValidationError(f"{kind} order must be in {lo}..{hi}")
+def _check_order(n, orders, kind):
+    """Raise :class:`ValidationError` unless the order ``n`` is in ``orders``."""
+    if n not in orders:
+        raise ValidationError(f"{kind} order must be in {orders[0]}..{orders[-1]}")
+
+
+def _keep(size, n, margin, orders, kind):
+    """Interior size for the order-``n`` form; ``n`` must be in ``orders``."""
+    _check_order(n, orders, kind)
     keep = size - margin - n
     if keep < 2:
         raise ValidationError("truncation too small for the requested order")
     return keep
 
 
+def _extreme(b, keep, lowest):
+    """Smallest (``lowest``) or largest eigenvalue of ``B = b[:keep, :keep]``.
+
+    A defect form of a k-atom measure has rank k <= 8 (the local Dirichlet
+    formula), so the first ``p = min(PROBE_COLS, keep)`` columns of ``B``
+    span its range.  With ``Q`` an orthonormal basis of them and
+    ``H = Q* B Q``, Weyl's inequality puts every eigenvalue of the Hermitian
+    part of ``B`` within ``r = ||B - Q H Q*||_F`` of ``eig(H)``, joined by 0
+    when ``keep > p``.  The end of that set is returned when
+    ``r <= CERT_REL * max(1, ||B||_F)``; otherwise ``eigvalsh`` of the
+    whole block decides.
+    """
+    blk = b[:keep, :keep]
+    p = min(PROBE_COLS, keep)
+    q = np.linalg.qr(blk[:, :p])[0]
+    h = q.conj().T @ blk @ q
+    h = (h + h.conj().T) / 2
+    r = q @ h @ q.conj().T
+    r -= blk
+    resid = np.linalg.norm(r)
+    # ||B||_F = hypot(||H||_F, resid): Q H Q* is orthogonal to B - Q H Q*.
+    if resid <= CERT_REL * max(1.0, np.hypot(np.linalg.norm(h), resid)):
+        vals = np.linalg.eigvalsh(h)
+        if keep > p:
+            vals = np.append(vals, 0.0)
+    else:
+        vals = np.linalg.eigvalsh(blk)
+    return float(vals.min() if lowest else vals.max())
+
+
 def _agler_curve(tp, orders, margin):
     """``{n: agler_min_eig(tp, n, margin)}`` for each order in ``orders``,
     all validated before one recursion pass reads them."""
-    keeps = {n: _keep(tp.shape[0], n, margin, 1, 10, "defect") for n in orders}
+    keeps = {n: _keep(tp.shape[0], n, margin, AGLER_ORDERS, "defect") for n in orders}
     return {
-        n: float(np.linalg.eigvalsh(b[: keeps[n], : keeps[n]])[0])
+        n: _extreme(b, keeps[n], lowest=True)
         for n, b in enumerate(_defect_forms(tp, max(keeps, default=0)), 1)
         if n in keeps
     }
@@ -293,13 +351,13 @@ def _agler_curve(tp, orders, margin):
 def _shift_curve(w, orders):
     """2-isometry defect and ``{n: hyperexpansivity_max_eig(w, n)}`` for
     each order in ``orders``, all validated before one recursion pass."""
-    keeps = {n: _keep(w.N, n, w.margin, 2, 6, "hyperexpansivity") for n in orders}
+    keeps = {n: _keep(w.N, n, w.margin, HYPER_ORDERS, "hyperexpansivity") for n in orders}
     hyper = {}
     for n, b in enumerate(_defect_forms(w.T, max([2, *keeps])), 1):
         if n == 2:
             defect = float(np.max(np.abs(b[: w.N - w.margin, : w.N - w.margin])))
         if n in keeps:
-            hyper[n] = float(np.linalg.eigvalsh(b[: keeps[n], : keeps[n]])[-1])
+            hyper[n] = _extreme(b, keeps[n], lowest=False)
     return defect, hyper
 
 
@@ -376,6 +434,14 @@ def agler_min_eig(tp, n, margin):
     ``n``-fold product of the truncated matrix corrupts entries within
     ``n`` of the edge.  The form is ``B_n`` of the defect recursion.
 
+    The value is certified rather than computed by a full ``eigvalsh``:
+    it is the smallest of ``eig(Q* B Q)`` and (for a block wider than 16)
+    0, with ``Q`` an orthonormal basis of the block's first 16 columns,
+    and it lies within the residual
+    ``||B - Q Q* B Q Q*||_F <= 1e-9 * max(1, ||B||_F)`` of the block's
+    minimum eigenvalue (Weyl's inequality).  A block whose residual
+    exceeds that bound is solved by ``eigvalsh`` instead.
+
     Parameters
     ----------
     tp : ndarray
@@ -398,6 +464,12 @@ def hyperexpansivity_max_eig(w, n):
     Complete hyperexpansivity demands the form be negative semidefinite
     for every ``n >= 1``; the order-2 form vanishes identically for a
     2-isometry.  The form is ``B_n`` of the defect recursion.
+
+    The value is certified as in :func:`agler_min_eig`: the largest of
+    ``eig(Q* B Q)`` and (for a block wider than 16) 0, within the probe's
+    residual (at most ``1e-9 * max(1, ||B||_F)``) of the block's maximum
+    eigenvalue, with a full ``eigvalsh`` when the residual exceeds that
+    bound.
 
     Parameters
     ----------

@@ -162,7 +162,7 @@ def _build_parser():
     p.add_argument("--measure", required=True, help="measure grammar string, e.g. '1;i'")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--trunc", type=int, default=64, help="oracle truncation size")
-    p.add_argument("--nmax", type=int, default=6, help="largest defect order")
+    p.add_argument("--nmax", type=int, default=6, help="largest defect order, 1..10")
     p.add_argument(
         "--skip-oracle", action="store_true", help="skip truncated-operator checks"
     )

@@ -17,7 +17,9 @@ import re
 import numpy as np
 
 from .cdsp import (
+    AGLER_ORDERS,
     _canonical_analysis,
+    _check_order,
     _closed_form,
     _coupling,
     _oracle_run,
@@ -298,7 +300,7 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
         Extra truncation size to include in the oracle runs (the sizes
         48, 64, 96 always run so cross-size stability is visible).
     nmax : int, optional
-        Largest defect order for the Agler curves.
+        Largest defect order for the Agler curves, ``1 <= nmax <= 10``.
     skip_oracle : bool, optional
         Skip the truncated-operator section entirely.
 
@@ -307,7 +309,13 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
     dict
         JSON-ready nested structure (validate with
         :func:`validate_report`).
+
+    Raises
+    ------
+    ValidationError
+        If ``nmax`` lies outside ``1..10``, with or without the oracle.
     """
+    _check_order(nmax, AGLER_ORDERS, "defect")
     model = build_model(mu)
     ident = build_identification(model)
     # closed_form_test and coupling_determinant share one canonical-frame

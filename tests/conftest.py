@@ -36,3 +36,19 @@ def property_measures():
             [np.exp(0.2j), np.exp(1.9j), np.exp(4.0j)], [1.0, 0.7, 1.3]
         ),
     ]
+
+
+def _seeded_measure(rng, k):
+    spacing = 2.0 * np.pi / k
+    angles = rng.uniform(0.0, 2.0 * np.pi) + spacing * (
+        np.arange(k) + rng.uniform(-0.15, 0.15, k)
+    )
+    return make_measure(list(np.exp(1j * angles)), list(rng.uniform(0.7, 1.4, k)))
+
+
+@pytest.fixture
+def seeded_measure():
+    """``seeded_measure(rng, k)``: ``k`` atoms ``360/k`` degrees apart,
+    turned at random and each moved by up to 15% of the spacing, with
+    weights in ``[0.7, 1.4]`` (the benchmark's domain)."""
+    return _seeded_measure

@@ -127,3 +127,19 @@ def test_cross_energy_reuses_radial_nodes(monkeypatch, canonical_mu):
     assert cross_energy(_basis(3), _basis(2), canonical_mu, 1) == first
     r, wr = _radial_nodes(64)
     assert not r.flags.writeable and not wr.flags.writeable
+
+
+def test_gram_moment_table_is_bitwise_per_moment(seeded_measure):
+    # The vectorized moment table must reproduce one moment() call per
+    # degree exactly, the squared row included.
+    rng = np.random.default_rng(81)
+    n = 385
+    idx = np.arange(n)
+    for k in range(1, 9):
+        for _ in range(3):
+            mu = seeded_measure(rng, k)
+            pos = np.array([moment(mu, ell) for ell in range(n)], dtype=complex)
+            full = np.concatenate((np.conj(pos[:0:-1]), pos))
+            band = full[idx[None, :] - idx[:, None] + n - 1]
+            want = np.eye(n, dtype=complex) + np.minimum.outer(idx, idx) * band
+            assert np.array_equal(gram_monomials(mu, n), want)

@@ -18,7 +18,7 @@ from cauchydual import (
     make_measure,
     two_isometry_defect,
 )
-from cauchydual.cdsp import _defect_forms
+from cauchydual.cdsp import CERT_REL, PROBE_COLS, _defect_forms, _extreme, _oracle_run
 
 AGLER_N6_CANONICAL = -1.203254e-02
 
@@ -268,3 +268,78 @@ def test_frame_gate_bound(canonical_mu, smallest, passes):
     else:
         with pytest.raises(SingularFrame, match="min eigenvalue 5.000e-11"):
             cauchy_dual(w)
+
+
+def _probe_residual(b, keep):
+    """Reference for the certificate: ``||B - Q Q* B Q Q*||_F`` with ``Q``
+    an orthonormal basis of the first ``PROBE_COLS`` columns of ``B``."""
+    blk = b[:keep, :keep]
+    q = np.linalg.qr(blk[:, : min(PROBE_COLS, keep)])[0]
+    proj = q @ q.conj().T
+    return float(np.linalg.norm(blk - proj @ blk @ proj))
+
+
+def _interior_forms(w):
+    """Every interior form the report reads at ``w``: (form, keep, lowest)."""
+    for t, orders, lowest in ((cauchy_dual(w), range(1, 7), True), (w.T, (2, 3, 4), False)):
+        for n, b in enumerate(_defect_forms(t, max(orders)), 1):
+            if n in orders:
+                yield b, w.N - w.margin - n, lowest
+
+
+def test_extreme_within_its_certificate(seeded_measure):
+    # Weyl: the probe's value and eigvalsh's differ by at most the
+    # probe's residual, which stays under the acceptance bound.
+    rng = np.random.default_rng(91)
+    cases = [(make_measure([1.0 + 0.0j, np.exp(1j * np.deg2rad(20.0))], [1.0, 1.0]), 48)]
+    cases += [(seeded_measure(rng, k), n) for n in (48, 96) for k in range(1, 9)]
+    cases += [(seeded_measure(rng, k), 384) for k in (2, 5, 8)]
+    for mu, size in cases:
+        for b, keep, lowest in _interior_forms(build_truncation(mu, size)):
+            resid = _probe_residual(b, keep)
+            assert resid <= CERT_REL * max(1.0, np.linalg.norm(b[:keep, :keep]))
+            exact = np.linalg.eigvalsh(b[:keep, :keep])[0 if lowest else -1]
+            assert abs(_extreme(b, keep, lowest) - exact) <= resid + 1e-15
+
+
+def test_extreme_counts_the_unprobed_zeros():
+    # A block of exact rank PROBE_COLS: the probe sees only positive
+    # (or only negative) eigenvalues, and the zeros outside it decide.
+    rng = np.random.default_rng(92)
+    x = rng.standard_normal((40, PROBE_COLS)) + 1j * rng.standard_normal((40, PROBE_COLS))
+    v = np.linalg.qr(x)[0]
+    b = v @ np.diag(rng.uniform(1.0, 2.0, PROBE_COLS)) @ v.conj().T
+    for sign in (1.0, -1.0):
+        exact = np.linalg.eigvalsh(sign * b)
+        assert abs(_extreme(sign * b, 40, lowest=True) - exact[0]) <= 1e-12
+        assert abs(_extreme(sign * b, 40, lowest=False) - exact[-1]) <= 1e-12
+        assert _extreme(sign * b, 40, lowest=sign > 0) == 0.0
+
+
+def test_extreme_full_rank_falls_back_to_eigvalsh():
+    rng = np.random.default_rng(93)
+    x = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+    b = x + x.conj().T
+    exact = np.linalg.eigvalsh(b[:50, :50])
+    assert _extreme(b, 50, lowest=True) == exact[0]
+    assert _extreme(b, 50, lowest=False) == exact[-1]
+
+
+def test_oracle_run_eigvalsh_only_on_probes(monkeypatch, seeded_measure):
+    # On the benchmark's domain every certificate holds at N=384, so no
+    # interior block reaches eigvalsh; only the probes' small forms do.
+    rng = np.random.default_rng(94)
+    measures = [make_measure([1.0 + 0.0j, 1.0j], [1.0, 1.0])]
+    measures += [seeded_measure(rng, k) for k in (1, 2, 3)]
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for mu in measures:
+        _oracle_run(build_truncation(mu, 384), 6)
+    assert len(shapes) == 9 * len(measures)
+    assert max(max(s) for s in shapes) <= PROBE_COLS

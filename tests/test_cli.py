@@ -274,3 +274,11 @@ def test_analyze_renders_once(capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert out == render(cli.build_report(cli.parse_measure("1;i"), skip_oracle=True))
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3", "11"])
+def test_analyze_nmax_outside_range_exits_2(capsys, nmax):
+    code, out, err = _run(["analyze", "--measure", "1;i", "--nmax", nmax], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: defect order must be in 1..10" in err

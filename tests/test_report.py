@@ -8,6 +8,7 @@ import pytest
 
 from cauchydual import (
     SchemaViolation,
+    ValidationError,
     build_report,
     closed_form_test,
     coupling_determinant,
@@ -398,3 +399,10 @@ def test_validate_rejects_non_numeric_complex_parts(canonical_mu):
 def test_validate_returns_the_checked_text(canonical_mu):
     doc = build_report(canonical_mu, skip_oracle=True)
     assert validate_report(doc) == render_json(doc)
+
+
+@pytest.mark.parametrize("nmax", [0, -3, 11])
+@pytest.mark.parametrize("skip", [False, True])
+def test_report_rejects_nmax_outside_range(canonical_mu, nmax, skip):
+    with pytest.raises(ValidationError, match=r"defect order must be in 1\.\.10"):
+        build_report(canonical_mu, nmax=nmax, skip_oracle=skip)
