@@ -1,5 +1,6 @@
-"""Complex polynomial arithmetic, simultaneous root finding, and spectral
-factorization of positive trigonometric polynomials on the unit circle.
+"""Complex polynomial arithmetic, companion-matrix root finding, and
+spectral factorization of positive trigonometric polynomials on the unit
+circle.
 
 Polynomials are represented as 1-D complex arrays of coefficients in
 ascending degree order: ``p[j]`` multiplies ``z**j``.  An empty array is the
@@ -27,8 +28,6 @@ __all__ = [
     "spectral_factorize",
 ]
 
-_ROOT_CORRECTION_TOL = 1e-13
-_ROOT_ITER_BUDGET = 500
 _BOUNDARY_TOL = 1e-8
 
 
@@ -101,21 +100,22 @@ def poly_from_roots(roots):
 
 
 def find_roots(p, tol=1e-10):
-    """All roots of a polynomial by deterministic simultaneous iteration.
+    """All roots of a polynomial from its companion matrix eigenvalues.
 
-    Runs an Aberth-Ehrlich iteration on the monic normalization with
-    initial guesses on a common circle, then verifies every residual and
-    sorts the result by descending modulus, ties broken by ascending
-    principal argument in ``[0, 2*pi)``.  Two calls on identical input
-    return bit-identical output.
+    Takes the eigenvalues of the companion matrix of the monic
+    normalization, polishes each by one Newton step, gates every root on
+    its componentwise backward error, and sorts the result by descending
+    modulus, ties broken by ascending principal argument in
+    ``[0, 2*pi)``.  Two calls on identical input return bit-identical
+    output.
 
     Parameters
     ----------
     p : array_like of complex
         Coefficients in ascending degree order, degree >= 1.
     tol : float, optional
-        Residual acceptance: each root must satisfy
-        ``|p(root)| <= tol * max(|p|)``.
+        Backward-error acceptance: each root must satisfy
+        ``|p(root)| <= tol * sum(|p[j]| * |root|**j)``.
 
     Returns
     -------
@@ -128,7 +128,12 @@ def find_roots(p, tol=1e-10):
         If the (trimmed) degree is < 1 or the leading coefficient is
         essentially zero.
     NonConvergence
-        If the iteration budget is exhausted or a residual check fails.
+        If some root's backward error exceeds ``tol``.
+
+    References
+    ----------
+    Edelman and Murakami, "Polynomial roots from companion matrix
+    eigenvalues", Math. Comp. 64 (1995).
     """
     c = np.asarray(p, dtype=complex).ravel()
     while c.size and c[-1] == 0:
@@ -137,42 +142,22 @@ def find_roots(p, tol=1e-10):
         raise ValidationError("find_roots requires degree >= 1")
     if abs(c[-1]) <= 1e-300:
         raise ValidationError("leading coefficient is numerically zero")
-    scale = float(np.max(np.abs(c)))
-    monic = c / c[-1]
-    deg = monic.size - 1
-    dmonic = poly_derivative(monic)
+    deg = c.size - 1
+    companion = np.eye(deg, k=-1, dtype=complex)
+    companion[:, -1] = -c[:-1] / c[-1]
+    z = np.linalg.eigvals(companion)
 
-    radius = 1.0 + float(np.max(np.abs(monic[:-1])))
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.25) / deg
-    z = radius * np.exp(1j * angles)
+    dv = poly_eval(poly_derivative(c), z)
+    step = np.zeros_like(z)
+    np.divide(poly_eval(c, z), dv, out=step, where=dv != 0)
+    z = z - step
 
-    converged = False
-    for _ in range(_ROOT_ITER_BUDGET):
-        pv = poly_eval(monic, z)
-        dv = poly_eval(dmonic, z)
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300 + 0j, dv)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        pairwise = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * pairwise
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300 + 0j, denom)
-        corr = newton / denom
-        z = z - corr
-        if float(np.max(np.abs(corr))) <= _ROOT_CORRECTION_TOL:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergence(
-            f"root iteration did not converge within {_ROOT_ITER_BUDGET} steps"
-        )
-
-    residuals = np.abs(poly_eval(c, z))
-    worst = float(np.max(residuals))
-    if worst > tol * scale:
-        raise NonConvergence(
-            f"root residual {worst:.3e} exceeds {tol:.1e} * scale {scale:.3e}"
-        )
+    # |p(r)| never exceeds sum |c_j| |r|^j, so a zero scale means p(r) = 0.
+    scale = poly_eval(np.abs(c), np.abs(z)).real
+    backward = np.abs(poly_eval(c, z)) / np.where(scale > 0.0, scale, 1.0)
+    worst = float(np.max(backward))
+    if worst > tol:
+        raise NonConvergence(f"root backward error {worst:.3e} exceeds {tol:.1e}")
     return _sort_roots(z)
 
 
@@ -277,7 +262,7 @@ class Factorization:
     inner_roots: np.ndarray
 
 
-def spectral_factorize(num, tol=1e-10):
+def spectral_factorize(num):
     """Factor a positive trigonometric polynomial over the unit circle.
 
     Writes ``N(z) = d * |q(z)|**2`` with ``q`` monic and root-free in the
@@ -291,8 +276,6 @@ def spectral_factorize(num, tol=1e-10):
     num : LaurentPoly
         Hermitian-symmetric Laurent polynomial, strictly positive on the
         unit circle.
-    tol : float, optional
-        Residual tolerance handed to :func:`find_roots`.
 
     Returns
     -------
@@ -335,7 +318,7 @@ def spectral_factorize(num, tol=1e-10):
     coeffs = np.zeros(2 * k + 1, dtype=complex)
     for j, v in num.coeffs.items():
         coeffs[j + k] = v
-    roots = find_roots(coeffs, tol=tol)
+    roots = find_roots(coeffs)
 
     dist = np.abs(np.abs(roots) - 1.0)
     if np.min(dist) <= _BOUNDARY_TOL:
@@ -346,9 +329,14 @@ def spectral_factorize(num, tol=1e-10):
     inner = roots[np.abs(roots) < 1.0]
     if outer.size != k or inner.size != k:
         raise NonConvergence("inner/outer root split does not pair up")
-    paired = np.sort_complex(1.0 / np.conj(outer))
-    if np.max(np.abs(np.sort_complex(inner) - paired)) > 1e-9:
-        raise NonConvergence("root pairing alpha -> 1/conj(alpha) failed")
+    # Nearest neighbours both ways: sorting would interleave roots whose
+    # real parts are round-off of either sign.
+    gap = np.abs(inner[:, None] - 1.0 / np.conj(outer)[None, :])
+    pairing = max(float(np.max(np.min(gap, axis=0))), float(np.max(np.min(gap, axis=1))))
+    if pairing > 1e-9:
+        raise NonConvergence(
+            f"root pairing alpha -> 1/conj(alpha) failed: {pairing:.3e} exceeds 1e-9"
+        )
 
     q = poly_from_roots(outer)
 

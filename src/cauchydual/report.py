@@ -44,6 +44,7 @@ SWEEP_CSV_HEADER = (
 )
 
 TOLERANCES = {
+    # find_roots' bound on each root's componentwise backward error.
     "root_residual": 1e-10,
     "boundary_root": 1e-8,
     "factorization_identity_rel": 1e-9,

@@ -84,9 +84,6 @@ _COUPLING_DET = -0.13348007677575036
 
 _QUAD_SPOT_TOL = {1: 2e-2, 2: 5e-3, 3: 1e-3}
 
-# The finite-difference diagnostic is good to about 10 digits.
-_INFO_RESOLUTION = 1e-9
-
 
 @dataclass(frozen=True)
 class Check:
@@ -98,9 +95,8 @@ class Check:
     mode : str
         "abs" compares |observed - expected| against tol; "rel" scales
         tol by |expected|; "upper" asserts observed <= tol; "exact"
-        compares strings; "info" prints without asserting.  The mode
-        also sets the resolution the row's values print to (see
-        :func:`_resolution`).
+        compares strings.  The mode also sets the resolution the row's
+        values print to (see :func:`_resolution`).
     fn : callable
         Maps the shared context dict to (observed, expected, tol).
     """
@@ -122,10 +118,9 @@ class CheckResult:
 def _resolution(mode, expected, tol):
     """Finest place value a row's check pins.
 
-    ``abs`` rows are pinned to ``tol``, ``rel`` rows to ``tol * |expected|``,
-    ``upper`` rows to 1e-3 of the decade of their bound, and ``info`` rows
-    to :data:`_INFO_RESOLUTION`.  ``exact`` rows compare strings and have
-    none.
+    ``abs`` rows are pinned to ``tol``, ``rel`` rows to ``tol * |expected|``
+    and ``upper`` rows to 1e-3 of the decade of their bound.  ``exact``
+    rows compare strings and have none.
     """
     if mode == "abs":
         return tol
@@ -133,8 +128,6 @@ def _resolution(mode, expected, tol):
         return tol * abs(complex(expected))
     if mode == "upper":
         return 1e-3 * 10.0 ** _decade(tol)
-    if mode == "info":
-        return _INFO_RESOLUTION
     return None
 
 
@@ -192,33 +185,6 @@ def _quartic_constants(roots):
     c = ((roots[2] + roots[3]) / (1.0 + 1j)).real
     d = (roots[2] * roots[3] / 1j).real
     return a, b, c, d
-
-
-def _kernel_sum_diagnostic(model):
-    """Three-term diagonal sum of a reconstructed kernel slice.
-
-    Unasserted diagnostic; the exact value is 1.  Uses a central
-    difference for the derivative term.
-    """
-    q = model.fact.q
-    a = (-(q[1]) / (1.0 + 1j)).real
-    b = 1.0 / model.fact.d
-    s = model.b_inv[0, 1]
-    opi = model.o_prime[1]
-    q1c = np.conj(poly_eval(q, 1.0 + 0j))
-
-    def h1(z):
-        bracket = (a - 1.0) * (z - 1j) + s * (z - 1.0) / (1j * opi**2)
-        return b * (1.0 + 1j) / (poly_eval(q, z) * q1c) * bracket
-
-    eps = 1e-6
-    d0 = (h1(eps) - h1(-eps)) / (2.0 * eps)
-    h0 = h1(0.0 + 0j)
-    return (
-        np.conj(d0)
-        + np.conj((h0 - h1(1.0 + 0j)) / (0.0 - 1.0))
-        + np.conj((h0 - h1(1j)) / (0.0 - 1j))
-    )
 
 
 def _kernel_checks(model, ident):
@@ -369,11 +335,6 @@ def _registry():
         return _quadrature_spot(ctx["mu"], level), 0.0, _QUAD_SPOT_TOL[level]
 
     add("gram.quadrature", "upper", quad_spot)
-    add(
-        "info.kernel_sum_diag",
-        "info",
-        lambda ctx: (_kernel_sum_diagnostic(ctx["model"]), 1.0 + 0j, None),
-    )
     return checks
 
 
@@ -400,9 +361,6 @@ def _render(check, observed, expected, tol):
     if check.mode == "exact":
         ok = observed == expected
         detail += f" expected={_fmt(expected, res)}"
-    elif check.mode == "info":
-        ok = True
-        detail += f" expected={_fmt(expected, res)} (informational)"
     elif check.mode == "upper":
         ok = float(abs(observed)) <= tol
         detail += f" bound={format(tol, '.3g')}"
@@ -414,7 +372,7 @@ def _render(check, observed, expected, tol):
         err = abs(complex(observed) - complex(expected))
         ok = err <= tol
         detail += f" expected={_fmt(expected, res)} tol={format(tol, '.3g')}"
-    status = "INFO" if check.mode == "info" else ("PASS" if ok else "FAIL")
+    status = "PASS" if ok else "FAIL"
     line = f"{status:<4} {check.check_id:<22} {detail}"
     return CheckResult(check_id=check.check_id, status=status, line=line)
 

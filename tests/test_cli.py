@@ -222,7 +222,7 @@ def test_selftest_passes(capsys):
     code, out, _ = _run(["selftest"], capsys)
     assert code == 0
     lines = out.splitlines()
-    assert lines[-1] == "selftest: 37 checks, 0 failed"
+    assert lines[-1] == "selftest: 36 checks, 0 failed"
     assert all(
         line.startswith(("PASS ", "INFO ", "selftest:")) for line in lines
     )

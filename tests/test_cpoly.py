@@ -1,18 +1,25 @@
 """Polynomial core: evaluation, roots, Laurent arithmetic, factorization."""
 
+import re
+
+import mpmath
 import numpy as np
 import pytest
 
 from cauchydual import (
     BoundaryRoot,
     LaurentPoly,
+    NonConvergence,
     ValidationError,
+    build_report,
     find_roots,
     laurent_mul,
+    parse_measure,
     poly_derivative,
     poly_eval,
     poly_from_roots,
     spectral_factorize,
+    validate_report,
     weight_numerator,
 )
 
@@ -100,6 +107,40 @@ def test_find_roots_cross_oracle():
         _match_sets(got, want, 1e-6)
 
 
+def _numerator_coeffs(mu):
+    num = weight_numerator(mu)
+    c = np.zeros(2 * num.bandwidth + 1, dtype=complex)
+    for j, v in num.coeffs.items():
+        c[j + num.bandwidth] = v
+    return c
+
+
+def test_find_roots_matches_mpmath(seeded_measure):
+    rng = np.random.default_rng(15)
+    polys = [QUARTIC]
+    polys += [_numerator_coeffs(seeded_measure(rng, k)) for k in range(1, 9) for _ in range(2)]
+    with mpmath.workdps(40):
+        for c in polys:
+            want = mpmath.polyroots(
+                [mpmath.mpc(v.real, v.imag) for v in c[::-1]], maxsteps=200, extraprec=80
+            )
+            got = find_roots(c)
+            for w in want:
+                w = complex(w)
+                j = int(np.argmin(np.abs(got - w)))
+                assert abs(got[j] - w) <= 1e-14 * abs(w)
+                got = np.delete(got, j)
+
+
+def test_find_roots_gate_refuses_perturbed_roots(monkeypatch):
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * (1.0 + 1e-3))
+    with pytest.raises(NonConvergence, match="root backward error") as info:
+        find_roots(QUARTIC)
+    observed = float(re.search(r"error (\S+) exceeds 1\.0e-10", str(info.value)).group(1))
+    assert observed > 1e-10
+
+
 def test_find_roots_deterministic():
     a = find_roots(QUARTIC, tol=1e-10)
     b = find_roots(QUARTIC, tol=1e-10)
@@ -148,6 +189,16 @@ def test_spectral_factorize_reflection_pairing(canonical_mu):
     fact = spectral_factorize(weight_numerator(canonical_mu))
     reflected = np.sort_complex(1.0 / np.conj(fact.outer_roots))
     assert np.max(np.abs(np.sort_complex(fact.inner_roots) - reflected)) <= 1e-9
+
+
+@pytest.mark.parametrize("text", ["1;i;-1;-i", "1;i;-1;-i:w=10"])
+@pytest.mark.parametrize("skip_oracle", [True, False])
+def test_imaginary_axis_roots_pair_up(text, skip_oracle):
+    # Roots on the imaginary axis have real parts of round-off size and
+    # either sign, so a sorted pairing would interleave them.
+    doc = build_report(parse_measure(text), skip_oracle=skip_oracle)
+    validate_report(doc)
+    assert len(doc["factorization"]["outer_roots"]) == 4
 
 
 def test_spectral_factorize_boundary_root():

@@ -79,6 +79,22 @@ def test_report_builds_canonical_model_once(monkeypatch):
     assert doc["cdsp"]["coupling_det"] == _cpx(coupling_determinant(mu))
 
 
+@pytest.mark.parametrize("k", [7, 8])
+def test_report_builds_on_spread_measures_with_wide_weights(k):
+    # Atoms 360/k degrees apart, each moved by up to 15% of the spacing,
+    # weights log-uniform in [0.3, 3]: numerators whose roots an
+    # absolute residual test used to refuse.
+    rng = np.random.default_rng(16 + k)
+    spacing = 2.0 * np.pi / k
+    for _ in range(30):
+        angles = rng.uniform(0.0, 2.0 * np.pi) + spacing * (
+            np.arange(k) + rng.uniform(-0.15, 0.15, k)
+        )
+        weights = np.exp(rng.uniform(np.log(0.3), np.log(3.0), k))
+        mu = make_measure(list(np.exp(1j * angles)), list(weights))
+        validate_report(build_report(mu, skip_oracle=True))
+
+
 def test_report_skip_oracle(canonical_mu):
     doc = build_report(canonical_mu, skip_oracle=True)
     validate_report(doc)

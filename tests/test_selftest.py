@@ -63,7 +63,6 @@ def test_resolution_per_mode():
     assert selftest._resolution("abs", 3.0, 1e-9) == 1e-9
     assert selftest._resolution("rel", -200.0, 1e-6) == pytest.approx(2e-4)
     assert selftest._resolution("upper", 0.0, 2e-2) == pytest.approx(1e-5)
-    assert selftest._resolution("info", 1.0, None) == 1e-9
     assert selftest._resolution("exact", "x", None) is None
 
 
