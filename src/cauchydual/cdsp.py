@@ -12,15 +12,16 @@ Two independent routes:
    matrix of the shift in the orthonormalized basis, its Cauchy dual, and
    the Agler / hyperexpansivity defect forms on an interior block that
    absorbs truncation edge effects.  Every defect form comes from one
-   recursion, ``B_n = B_{n-1} - T* B_{n-1} T`` from ``B_0 = I``, which
-   walks all orders in one pass at two matmuls each.  A form's extreme
-   interior eigenvalue is read from a probe rather than a full
-   eigendecomposition: by the local Dirichlet formula every form of a
-   k-atom measure has rank k <= 8, so its first 16 interior columns span
-   its range.  Projecting onto them gives a 16 x 16 form whose spectrum,
-   joined by 0, lies within the projection residual of the block's
-   spectrum (Weyl's inequality); a residual above ``CERT_REL`` of the
-   block's norm falls back to ``eigvalsh`` of the whole block.
+   recursion, ``B_n = B_{n-1} - X* B_{n-1} X`` from ``B_0 = I``, carried
+   on low-rank factors ``B_n = W_n H_n W_n*``.  By the local
+   Dirichlet formula ``M*M - I`` has rank k <= 8, so ``B_1 = I - X* X`` of
+   the truncated shift or its dual has rank about k + 2 (two directions
+   come from the truncation edge), and each order adds one or two.  A
+   fixed 16-column test matrix captures the range of ``B_1`` once, behind
+   a residual certificate with an ``eigh`` fallback; every later order is
+   a QR of ``[W, X* W]`` and an eigendecomposition of its small core, at
+   ``O(N^2 r)`` instead of ``O(N^3)``.  A form's interior eigenvalues are
+   those of the core of ``W[:keep]``, joined by 0.
 
 Scalars produced by the closed-form route (overlap sum, coupling
 determinant) are computed in a canonical rotation frame: atoms sorted by
@@ -39,7 +40,7 @@ import numpy as np
 from .cpoly import poly_eval
 from .debranges import build_identification, cholesky_upper
 from .dirichlet import build_model
-from .errors import NonConvergence, SingularFrame, ToolkitError, ValidationError
+from .errors import NonConvergence, SingularFrame, SingularGram, ToolkitError, ValidationError
 from .measure import MeasureSpec, make_measure
 
 __all__ = [
@@ -62,9 +63,9 @@ __all__ = [
 
 QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
 
-# The interior defect forms' extreme eigenvalues come from a probe of this
-# many leading columns (twice the grammar's 8 atoms), accepted when the
-# probe's residual is at most CERT_REL of the form's Frobenius norm (or 1).
+# The range of the order-1 defect form comes from a test matrix with this
+# many columns (twice the grammar's 8 atoms), accepted when the factor's
+# residual is at most CERT_REL of the form's Frobenius norm (or 1).
 PROBE_COLS = 16
 CERT_REL = 1e-9
 
@@ -225,7 +226,8 @@ class TruncationWorkspace:
         degree up, so one extra row captures them exactly).
     norm_T : float
         Spectral norm of the truncated ``T``, recorded as the shift-norm
-        bound.
+        bound: ``sqrt(max(1, 1 - lambda_min))`` with ``lambda_min`` the
+        smallest eigenvalue of the factored ``I - T* T``, so no SVD runs.
     """
 
     mu: MeasureSpec
@@ -257,15 +259,25 @@ def build_truncation(mu, n):
         If ``n < 8``.
     NotPSD
         If the Gram matrix fails the positive-definite factorization.
+    SingularGram
+        If a pivot of that factorization is within ``1e-10 * trace`` of 0.
     """
     if n < 8:
         raise ValidationError("truncation size must be at least 8")
     gram_big = gram_monomials(mu, n + 1)
     gram = gram_big[:n, :n]
     c = cholesky_upper(np.conj(gram))
+    zero = np.flatnonzero(np.diag(c) == 0.0)
+    if zero.size:
+        raise SingularGram(
+            f"Gram pivot {zero[0]} of {n} is within 1e-10 * trace "
+            f"{np.trace(gram).real:.3e} of 0"
+        )
     c_inv = np.linalg.inv(c)
     t = np.pad(c[:, 1:], ((0, 0), (0, 1))) @ c_inv
     mstar_m = c_inv.conj().T @ np.conj(gram_big[1:, 1:]) @ c_inv
+    # ||T||^2 = 1 - min eig(I - T*T), and at least 1: the shift is expansive.
+    lowest = np.linalg.eigvalsh(_first_form(t)[1]).min(initial=1.0)
     return TruncationWorkspace(
         mu=mu,
         N=n,
@@ -274,22 +286,85 @@ def build_truncation(mu, n):
         T=t,
         margin=max(4, n // 8),
         mstar_m=mstar_m,
-        norm_T=float(np.linalg.norm(t, 2)),
+        norm_T=float(np.sqrt(max(1.0, 1.0 - lowest))),
     )
 
 
-def _defect_forms(t, nmax):
-    """Yield ``B_n = sum_j (-1)^j binom(n, j) (T^j)* T^j`` for n = 1..nmax.
+@functools.lru_cache(maxsize=None)
+def _test_matrix(n):
+    """Fixed ``n x min(PROBE_COLS, n)`` test matrix of the order-1 range
+    finder, read-only, per size.
 
-    Agler's identity ``B_n = (1 - L)^n I`` with ``L(X) = T* X T``, walked
-    as ``B_n = B_{n-1} - T* B_{n-1} T``.  Each form replaces the last, so
-    a reader that drops it keeps at most two ``N x N`` forms alive.
+    Its real and imaginary parts are uniform on ``[-1/2, 1/2)``, drawn by
+    the splitmix64 stream from seed 0: exact integer arithmetic gives the
+    same matrix on every platform, and ``numpy.random`` stays unimported.
     """
-    b = np.eye(t.shape[0], dtype=complex)
-    t_adj = t.conj().T
-    for _ in range(nmax):
-        b = b - t_adj @ b @ t
-        yield b
+    p = min(PROBE_COLS, n)
+    z = np.arange(1, 2 * n * p + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    u = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
+    u = u.astype(float).reshape(2, n, p) * 2.0**-53 - 0.5
+    omega = u[0] + 1j * u[1]
+    omega.flags.writeable = False
+    return omega
+
+
+def _compress(q, core):
+    """``Q core Q*`` as ``(W, H)`` with ``W`` orthonormal, dropping the
+    eigenpairs of ``core`` at the round-off floor.
+
+    ``H`` is the kept eigenvectors' projection ``V* core V``, not their
+    eigenvalues: ``eigh``'s normwise error would put round-off of the
+    form's largest (truncation-edge) eigenvalues into its small interior
+    ones, and the projection is exact to second order in that error.
+    """
+    core = (core + core.conj().T) / 2
+    vals, vecs = np.linalg.eigh(core)
+    floor = np.finfo(float).eps * vals.size * np.max(np.abs(vals), initial=0.0)
+    v = vecs[:, np.abs(vals) > floor]
+    h = v.conj().T @ core @ v
+    return q @ v, (h + h.conj().T) / 2
+
+
+def _first_form(x):
+    """Factor ``B_1 = I - X* X`` as ``(W, H)`` with ``B_1 = W H W*``.
+
+    ``B_1`` is one product of the matrix passed in.  ``Q``, an orthonormal
+    basis of ``B_1 Omega`` for the fixed test matrix ``Omega``, captures its
+    range when ``||B_1 - Q H Q*||_F <= CERT_REL * max(1, ||B_1||_F)`` with
+    ``H = Q* B_1 Q``; otherwise ``eigh`` of ``B_1`` gives the full factor.
+    """
+    n = x.shape[0]
+    b = np.eye(n, dtype=complex) - x.conj().T @ x
+    q = np.linalg.qr(b @ _test_matrix(n))[0]
+    h = q.conj().T @ b @ q
+    r = q @ h @ q.conj().T
+    r -= b
+    if np.linalg.norm(r) > CERT_REL * max(1.0, np.linalg.norm(b)):
+        q, h = np.eye(n, dtype=complex), b
+    return _compress(q, h)
+
+
+def _defect_factors(x, nmax):
+    """Yield ``(W_n, H_n)`` with ``B_n = W_n H_n W_n*`` for n = 1..nmax.
+
+    ``B_n = sum_j (-1)^j binom(n, j) (X^j)* X^j`` is Agler's identity
+    ``B_n = (1 - L)^n I`` with ``L(Y) = X* Y X``, walked as
+    ``B_n = B_{n-1} - X* B_{n-1} X``.  On factors that step is
+    ``[W, X* W] diag(H, -H) [W, X* W]*``: with ``[W, X* W] = Q [R_1, R_2]``
+    the core is ``R_1 H R_1* - R_2 H R_2*``, at ``O(N^2 r)`` per order.
+    """
+    if nmax < 1:
+        return
+    w, h = _first_form(x)
+    yield w, h
+    x_adj = x.conj().T
+    for _ in range(nmax - 1):
+        q, r = np.linalg.qr(np.hstack((w, x_adj @ w)))
+        r1, r2 = r[:, : h.shape[0]], r[:, h.shape[0] :]
+        w, h = _compress(q, r1 @ h @ r1.conj().T - r2 @ h @ r2.conj().T)
+        yield w, h
 
 
 def _check_order(n, orders, kind):
@@ -307,33 +382,18 @@ def _keep(size, n, margin, orders, kind):
     return keep
 
 
-def _extreme(b, keep, lowest):
-    """Smallest (``lowest``) or largest eigenvalue of ``B = b[:keep, :keep]``.
+def _extreme(w, h, keep, lowest):
+    """Smallest (``lowest``) or largest eigenvalue of the interior block
+    ``B[:keep, :keep]`` of ``B = W H W*``.
 
-    A defect form of a k-atom measure has rank k <= 8 (the local Dirichlet
-    formula), so the first ``p = min(PROBE_COLS, keep)`` columns of ``B``
-    span its range.  With ``Q`` an orthonormal basis of them and
-    ``H = Q* B Q``, Weyl's inequality puts every eigenvalue of the Hermitian
-    part of ``B`` within ``r = ||B - Q H Q*||_F`` of ``eig(H)``, joined by 0
-    when ``keep > p``.  The end of that set is returned when
-    ``r <= CERT_REL * max(1, ||B||_F)``; otherwise ``eigvalsh`` of the
-    whole block decides.
+    With ``W[:keep] = Q R`` the block is ``Q (R H R*) Q*``, so its
+    spectrum is that of the small core, joined by 0 when ``keep`` exceeds
+    the factor's width.
     """
-    blk = b[:keep, :keep]
-    p = min(PROBE_COLS, keep)
-    q = np.linalg.qr(blk[:, :p])[0]
-    h = q.conj().T @ blk @ q
-    h = (h + h.conj().T) / 2
-    r = q @ h @ q.conj().T
-    r -= blk
-    resid = np.linalg.norm(r)
-    # ||B||_F = hypot(||H||_F, resid): Q H Q* is orthogonal to B - Q H Q*.
-    if resid <= CERT_REL * max(1.0, np.hypot(np.linalg.norm(h), resid)):
-        vals = np.linalg.eigvalsh(h)
-        if keep > p:
-            vals = np.append(vals, 0.0)
-    else:
-        vals = np.linalg.eigvalsh(blk)
+    r = np.linalg.qr(w[:keep], mode="r")
+    vals = np.linalg.eigvalsh(r @ h @ r.conj().T)
+    if keep > h.shape[0]:
+        vals = np.append(vals, 0.0)
     return float(vals.min() if lowest else vals.max())
 
 
@@ -342,8 +402,8 @@ def _agler_curve(tp, orders, margin):
     all validated before one recursion pass reads them."""
     keeps = {n: _keep(tp.shape[0], n, margin, AGLER_ORDERS, "defect") for n in orders}
     return {
-        n: _extreme(b, keeps[n], lowest=True)
-        for n, b in enumerate(_defect_forms(tp, max(keeps, default=0)), 1)
+        n: _extreme(w, h, keeps[n], lowest=True)
+        for n, (w, h) in enumerate(_defect_factors(tp, max(keeps, default=0)), 1)
         if n in keeps
     }
 
@@ -352,12 +412,13 @@ def _shift_curve(w, orders):
     """2-isometry defect and ``{n: hyperexpansivity_max_eig(w, n)}`` for
     each order in ``orders``, all validated before one recursion pass."""
     keeps = {n: _keep(w.N, n, w.margin, HYPER_ORDERS, "hyperexpansivity") for n in orders}
+    m = w.N - w.margin
     hyper = {}
-    for n, b in enumerate(_defect_forms(w.T, max([2, *keeps])), 1):
+    for n, (f, h) in enumerate(_defect_factors(w.T, max([2, *keeps])), 1):
         if n == 2:
-            defect = float(np.max(np.abs(b[: w.N - w.margin, : w.N - w.margin])))
+            defect = float(np.max(np.abs(f[:m] @ h @ f[:m].conj().T)))
         if n in keeps:
-            hyper[n] = _extreme(b, keeps[n], lowest=False)
+            hyper[n] = _extreme(f, h, keeps[n], lowest=False)
     return defect, hyper
 
 
@@ -434,13 +495,11 @@ def agler_min_eig(tp, n, margin):
     ``n``-fold product of the truncated matrix corrupts entries within
     ``n`` of the edge.  The form is ``B_n`` of the defect recursion.
 
-    The value is certified rather than computed by a full ``eigvalsh``:
-    it is the smallest of ``eig(Q* B Q)`` and (for a block wider than 16)
-    0, with ``Q`` an orthonormal basis of the block's first 16 columns,
-    and it lies within the residual
-    ``||B - Q Q* B Q Q*||_F <= 1e-9 * max(1, ||B||_F)`` of the block's
-    minimum eigenvalue (Weyl's inequality).  A block whose residual
-    exceeds that bound is solved by ``eigvalsh`` instead.
+    The form is carried as a low-rank factor ``W H W*`` (the range
+    of ``B_1`` from a certified 16-column test matrix, ``eigh`` of ``B_1``
+    when the certificate fails), and the value is the smallest eigenvalue
+    of the core of ``W[:keep]``, joined by 0 when the block is wider than
+    the factor.  Outside that fallback no ``N x N`` eigendecomposition runs.
 
     Parameters
     ----------
@@ -465,11 +524,9 @@ def hyperexpansivity_max_eig(w, n):
     for every ``n >= 1``; the order-2 form vanishes identically for a
     2-isometry.  The form is ``B_n`` of the defect recursion.
 
-    The value is certified as in :func:`agler_min_eig`: the largest of
-    ``eig(Q* B Q)`` and (for a block wider than 16) 0, within the probe's
-    residual (at most ``1e-9 * max(1, ||B||_F)``) of the block's maximum
-    eigenvalue, with a full ``eigvalsh`` when the residual exceeds that
-    bound.
+    The form is factored as in :func:`agler_min_eig`, and the value is
+    the largest eigenvalue of the core of the factor's interior rows,
+    joined by 0 when the block is wider than the factor.
 
     Parameters
     ----------

@@ -292,12 +292,16 @@ def spectral_factorize(num):
         Propagated from root finding, or if the inner/outer root pairing
         fails.
     ResidualTooLarge
-        If the factorization identity fails on the 64-point check grid.
+        If a coefficient of ``num`` or ``|q|**2`` at the matching point
+        overflows, or the factorization identity fails on the 64-point
+        check grid.
     """
     if not num.coeffs:
         raise ValidationError("cannot factor the zero Laurent polynomial")
     k = num.bandwidth
     maxc = max(abs(v) for v in num.coeffs.values())
+    if not np.isfinite(maxc):
+        raise ResidualTooLarge(f"weight numerator coefficient overflows ({maxc:.3e})")
     if num.hermitian_defect() > 1e-12 * maxc:
         raise ValidationError("input Laurent polynomial is not Hermitian-symmetric")
 
@@ -352,7 +356,12 @@ def spectral_factorize(num):
         x = match_grid[idx]
         nx = float(nvals[idx])
     qx = poly_eval(q, x)
-    d = nx / float(abs(qx) ** 2)
+    try:
+        d = nx / float(abs(qx) ** 2)
+    except OverflowError:
+        raise ResidualTooLarge(
+            f"point matching overflows: |q| = {abs(qx):.3e} at the matching point"
+        ) from None
     if d <= 0.0:
         raise ResidualTooLarge("point matching produced a nonpositive scale d")
 

@@ -81,7 +81,7 @@ def compute_A(model):
     ------
     ResidualTooLarge
         If the 0-row/column fails to vanish, the independent-grid residual
-        exceeds ``1e-8``, or Hermitian symmetry fails.
+        exceeds ``1e-8``, Hermitian symmetry fails, or the matrix overflows.
     NotPSD
         If the matrix has an eigenvalue below ``-1e-8 * trace``.
     """
@@ -116,6 +116,10 @@ def compute_A(model):
     if herm > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
         raise ResidualTooLarge(f"coefficient matrix Hermitian defect {herm:.3e}")
     a = (a + a.conj().T) / 2.0
+    if not np.all(np.isfinite(a)):
+        raise ResidualTooLarge(
+            f"coefficient matrix overflows (max |A| {float(np.max(np.abs(ahat))):.3e})"
+        )
     eigs = np.linalg.eigvalsh(a)
     trace = float(np.trace(a).real)
     if eigs[0] < -1e-8 * max(trace, 1.0):

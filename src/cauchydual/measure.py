@@ -49,9 +49,9 @@ class MeasureSpec:
     Raises
     ------
     ValidationError
-        If a point is off the circle beyond ``1e-12``, a weight is not
-        positive, two points nearly coincide, or the atom count is outside
-        ``1..8``.
+        If a point or weight is not finite, a point is off the circle
+        beyond ``1e-12``, a weight is not positive, two points nearly
+        coincide, or the atom count is outside ``1..8``.
     """
 
     atoms: tuple
@@ -63,6 +63,8 @@ class MeasureSpec:
                 f"measure must have between 1 and {_MAX_ATOMS} atoms, got {len(atoms)}"
             )
         for p, w in atoms:
+            if not (np.isfinite(p) and np.isfinite(w)):
+                raise ValidationError(f"atom ({p}, {w}) is not finite")
             if abs(abs(p) - 1.0) > 1e-12:
                 raise ValidationError(f"support point {p} is not on the unit circle")
             if not w > 0.0:

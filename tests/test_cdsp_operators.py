@@ -18,7 +18,7 @@ from cauchydual import (
     make_measure,
     two_isometry_defect,
 )
-from cauchydual.cdsp import CERT_REL, PROBE_COLS, _defect_forms, _extreme, _oracle_run
+from cauchydual.cdsp import PROBE_COLS, _defect_factors, _extreme, _oracle_run
 
 AGLER_N6_CANONICAL = -1.203254e-02
 
@@ -194,31 +194,40 @@ def test_shift_norm_bounded(property_measures):
         assert w96.norm_T >= w48.norm_T - 1e-9
 
 
-def _binomial_defect_form(t, n):
-    """Reference: the explicit sum ``sum_j (-1)^j binom(n, j) (T^j)* T^j``."""
-    size = t.shape[0]
-    b = np.zeros((size, size), dtype=complex)
-    power = np.eye(size, dtype=complex)
-    for j in range(n + 1):
-        b += (-1) ** j * math.comb(n, j) * power.conj().T @ power
+def _binomial_defect_forms(t, nmax):
+    """Reference: ``[sum_j (-1)^j binom(n, j) (T^j)* T^j for n = 1..nmax]``
+    from one set of powers."""
+    grams, power = [], np.eye(t.shape[0], dtype=complex)
+    for _ in range(nmax + 1):
+        grams.append(power.conj().T @ power)
         power = t @ power
-    return b
+    return [
+        sum((-1) ** j * math.comb(n, j) * grams[j] for j in range(n + 1))
+        for n in range(1, nmax + 1)
+    ]
+
+
+def _assembled(factors):
+    """The forms ``W H W*`` of a sequence of factors."""
+    return [w @ h @ w.conj().T for w, h in factors]
 
 
 def test_defect_recursion_matches_binomial_sum(property_measures):
     # The recursion B_n = B_{n-1} - T* B_{n-1} T is an exact identity on
-    # any square matrix, so it must match the binomial sum on the whole
-    # section, edge included, up to round-off of the sum's largest term.
+    # any square matrix, so its assembled factors must match the binomial
+    # sum on the whole section, edge included, up to round-off of the
+    # sum's largest term.
     for mu in property_measures:
         w = build_truncation(mu, 96)
         for t, orders in ((cauchy_dual(w), range(1, 7)), (w.T, range(2, 5))):
-            forms = list(_defect_forms(t, max(orders)))
+            forms = _assembled(_defect_factors(t, max(orders)))
             assert len(forms) == max(orders)
+            dense = _binomial_defect_forms(t, max(orders))
             scale = max(1.0, np.linalg.norm(t, 2))
             for n in orders:
-                err = np.max(np.abs(forms[n - 1] - _binomial_defect_form(t, n)))
+                err = np.max(np.abs(forms[n - 1] - dense[n - 1]))
                 assert err <= 1e-14 * scale ** (2 * n)
-    assert list(_defect_forms(w.T, 0)) == []
+    assert list(_defect_factors(w.T, 0)) == []
 
 
 def test_report_oracle_equals_public_functions(property_measures):
@@ -270,76 +279,130 @@ def test_frame_gate_bound(canonical_mu, smallest, passes):
             cauchy_dual(w)
 
 
-def _probe_residual(b, keep):
-    """Reference for the certificate: ``||B - Q Q* B Q Q*||_F`` with ``Q``
-    an orthonormal basis of the first ``PROBE_COLS`` columns of ``B``."""
-    blk = b[:keep, :keep]
-    q = np.linalg.qr(blk[:, : min(PROBE_COLS, keep)])[0]
-    proj = q @ q.conj().T
-    return float(np.linalg.norm(blk - proj @ blk @ proj))
-
-
-def _interior_forms(w):
-    """Every interior form the report reads at ``w``: (form, keep, lowest)."""
-    for t, orders, lowest in ((cauchy_dual(w), range(1, 7), True), (w.T, (2, 3, 4), False)):
-        for n, b in enumerate(_defect_forms(t, max(orders)), 1):
-            if n in orders:
-                yield b, w.N - w.margin - n, lowest
-
-
-def test_extreme_within_its_certificate(seeded_measure):
-    # Weyl: the probe's value and eigvalsh's differ by at most the
-    # probe's residual, which stays under the acceptance bound.
+def test_interior_extremes_match_dense_forms(seeded_measure):
+    # Every interior extreme the report reads equals eigvalsh of the dense
+    # binomial-sum form's block within 1e-12 * max(1, ||B||_F), where
+    # ||B||_F = ||H||_F because W is orthonormal.
     rng = np.random.default_rng(91)
-    cases = [(make_measure([1.0 + 0.0j, np.exp(1j * np.deg2rad(20.0))], [1.0, 1.0]), 48)]
+    spread8 = make_measure(list(np.exp(2j * np.pi * np.arange(8) / 8)), [1.0] * 8)
+    pair20 = make_measure([1.0 + 0.0j, np.exp(1j * np.deg2rad(20.0))], [1.0, 1.0])
+    cases = [(mu, n) for mu in (spread8, pair20) for n in (48, 96, 384)]
     cases += [(seeded_measure(rng, k), n) for n in (48, 96) for k in range(1, 9)]
     cases += [(seeded_measure(rng, k), 384) for k in (2, 5, 8)]
     for mu, size in cases:
-        for b, keep, lowest in _interior_forms(build_truncation(mu, size)):
-            resid = _probe_residual(b, keep)
-            assert resid <= CERT_REL * max(1.0, np.linalg.norm(b[:keep, :keep]))
-            exact = np.linalg.eigvalsh(b[:keep, :keep])[0 if lowest else -1]
-            assert abs(_extreme(b, keep, lowest) - exact) <= resid + 1e-15
+        w = build_truncation(mu, size)
+        for t, orders, lowest in ((cauchy_dual(w), range(1, 7), True), (w.T, (2, 3, 4), False)):
+            dense = _binomial_defect_forms(t, max(orders))
+            for n, (f, h) in enumerate(_defect_factors(t, max(orders)), 1):
+                if n not in orders:
+                    continue
+                keep = w.N - w.margin - n
+                exact = np.linalg.eigvalsh(dense[n - 1][:keep, :keep])[0 if lowest else -1]
+                got = _extreme(f, h, keep, lowest)
+                assert abs(got - exact) <= 1e-12 * max(1.0, np.linalg.norm(h))
 
 
-def test_extreme_counts_the_unprobed_zeros():
-    # A block of exact rank PROBE_COLS: the probe sees only positive
-    # (or only negative) eigenvalues, and the zeros outside it decide.
+def _dense_extremes(t, orders, margin, lowest):
+    """Reference: the dense recursion ``B_n = B_{n-1} - T* B_{n-1} T``, two
+    ``N x N`` matmuls per order, and ``eigvalsh`` of each interior block.
+    Returns ``{n: extreme}`` and the max-magnitude interior entry of ``B_2``."""
+    size = t.shape[0]
+    b, extremes, entry = np.eye(size, dtype=complex), {}, None
+    for n in range(1, max(orders) + 1):
+        b = b - t.conj().T @ b @ t
+        if n == 2:
+            entry = np.max(np.abs(b[: size - margin, : size - margin]))
+        if n in orders:
+            vals = np.linalg.eigvalsh(b[: size - margin - n, : size - margin - n])
+            extremes[str(n)] = vals[0] if lowest else vals[-1]
+    return extremes, entry
+
+
+def test_oracle_figures_match_the_dense_recursion(seeded_measure):
+    # Every figure the report reads agrees with the dense recursion within
+    # 1e-10 relative where |x| > 1e-6 and 1e-10 absolute elsewhere.
+    rng = np.random.default_rng(95)
+    cases = [(make_measure([1.0 + 0.0j, 1.0j], [1.0, 1.0]), n) for n in (48, 96, 384)]
+    cases += [(seeded_measure(rng, k), n) for n in (64, 96) for k in range(1, 9)]
+    cases += [(seeded_measure(rng, k), 384) for k in (2, 3, 5, 8)]
+    for mu, size in cases:
+        w = build_truncation(mu, size)
+        run = _oracle_run(w, 6)
+        agler, _ = _dense_extremes(cauchy_dual(w), range(1, 7), w.margin, lowest=True)
+        hyper, defect = _dense_extremes(w.T, (2, 3, 4), w.margin, lowest=False)
+        pairs = [(run["two_isometry_defect"], defect)]
+        pairs += [(run["agler_min_eig"][n], v) for n, v in agler.items()]
+        pairs += [(run["hyperexpansivity_max_eig"][n], v) for n, v in hyper.items()]
+        for got, ref in pairs:
+            assert abs(got - ref) <= 1e-10 * (abs(ref) if abs(ref) > 1e-6 else 1.0)
+
+
+def test_extreme_joins_the_zeros_off_the_factor():
+    # A factor of width PROBE_COLS with one-signed h: the zeros of the
+    # block off the factor's range decide the other end.
     rng = np.random.default_rng(92)
     x = rng.standard_normal((40, PROBE_COLS)) + 1j * rng.standard_normal((40, PROBE_COLS))
     v = np.linalg.qr(x)[0]
-    b = v @ np.diag(rng.uniform(1.0, 2.0, PROBE_COLS)) @ v.conj().T
+    h = np.diag(rng.uniform(1.0, 2.0, PROBE_COLS))
     for sign in (1.0, -1.0):
-        exact = np.linalg.eigvalsh(sign * b)
-        assert abs(_extreme(sign * b, 40, lowest=True) - exact[0]) <= 1e-12
-        assert abs(_extreme(sign * b, 40, lowest=False) - exact[-1]) <= 1e-12
-        assert _extreme(sign * b, 40, lowest=sign > 0) == 0.0
+        exact = np.linalg.eigvalsh(v @ (sign * h) @ v.conj().T)
+        assert abs(_extreme(v, sign * h, 40, lowest=True) - exact[0]) <= 1e-12
+        assert abs(_extreme(v, sign * h, 40, lowest=False) - exact[-1]) <= 1e-12
+        assert _extreme(v, sign * h, 40, lowest=sign > 0) == 0.0
 
 
-def test_extreme_full_rank_falls_back_to_eigvalsh():
+def test_first_form_full_rank_falls_back_to_eigh(monkeypatch):
+    # I - X*X of a random X has full rank, so the 16-column range fails
+    # its certificate and eigh of the whole form gives the factor.
     rng = np.random.default_rng(93)
-    x = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
-    b = x + x.conj().T
-    exact = np.linalg.eigvalsh(b[:50, :50])
-    assert _extreme(b, 50, lowest=True) == exact[0]
-    assert _extreme(b, 50, lowest=False) == exact[-1]
-
-
-def test_oracle_run_eigvalsh_only_on_probes(monkeypatch, seeded_measure):
-    # On the benchmark's domain every certificate holds at N=384, so no
-    # interior block reaches eigvalsh; only the probes' small forms do.
-    rng = np.random.default_rng(94)
-    measures = [make_measure([1.0 + 0.0j, 1.0j], [1.0, 1.0])]
-    measures += [seeded_measure(rng, k) for k in (1, 2, 3)]
+    x = (rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))) / 8
     shapes = []
-    eigvalsh = np.linalg.eigvalsh
+    eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    factors = list(_defect_factors(x, 3))
+    assert shapes[0] == (60, 60)
+    assert factors[0][1].shape == (60, 60)
+    dense = _binomial_defect_forms(x, 3)
+    for n, form in enumerate(_assembled(factors), 1):
+        assert np.max(np.abs(form - dense[n - 1])) <= 1e-13 * max(1.0, np.linalg.norm(x, 2)) ** (2 * n)
+    for lowest in (True, False):
+        exact = np.linalg.eigvalsh(dense[0][:50, :50])[0 if lowest else -1]
+        assert abs(_extreme(*factors[0], 50, lowest) - exact) <= 1e-13
+
+
+def test_oracle_run_one_svd_and_small_eigensolves(monkeypatch, seeded_measure):
+    # On the benchmark's domain every certificate holds at N=384: the
+    # truncation and its oracle run one 2-norm (the contraction gate's),
+    # and eigh/eigvalsh only see factor cores, never an N x N form.
+    rng = np.random.default_rng(94)
+    measures = [make_measure([1.0 + 0.0j, 1.0j], [1.0, 1.0])]
+    measures += [seeded_measure(rng, k) for k in (1, 2, 3)]
+    norms, shapes = [], []
+    norm, eigh, eigvalsh = np.linalg.norm, np.linalg.eigh, np.linalg.eigvalsh
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            norms.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    def counted(solver):
+        def run(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return solver(a, *args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(np.linalg, "eigh", counted(eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh))
     for mu in measures:
+        norms.clear()
         _oracle_run(build_truncation(mu, 384), 6)
-    assert len(shapes) == 9 * len(measures)
-    assert max(max(s) for s in shapes) <= PROBE_COLS
+        assert len(norms) == 1
+    assert shapes
+    assert max(max(s) for s in shapes) <= 2 * PROBE_COLS

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cauchydual import ParseError
@@ -113,6 +114,29 @@ def test_analyze_bad_measure(capsys):
     code, _, err = _run(["analyze", "--measure", "bogus"], capsys)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text", ["1:w=1e400", "deg:1e400", "1;deg:0.5:w=1e999"])
+def test_analyze_non_finite_atom_exits_2(capsys, text):
+    code, out, err = _run(["analyze", "--skip-oracle", "--measure", text], capsys)
+    assert (code, out) == (2, "")
+    assert "is not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--skip-oracle", "--measure", "1:w=1e308"], "point matching overflows: |q| = 1.000e+308"),
+        (["--skip-oracle", "--measure", "1:w=1e308;i"], "weight numerator coefficient overflows (inf)"),
+        (["--skip-oracle", "--measure", "1:w=1e154"], "coefficient matrix overflows (max |A| 1.000e+308)"),
+        (["--trunc", "48", "--measure", "1:w=1e20"], "SingularGram: Gram pivot 0 of 48"),
+    ],
+)
+def test_analyze_overflowing_weight_exits_3(capsys, argv, message):
+    with np.errstate(all="ignore"):
+        code, out, err = _run(["analyze", *argv], capsys)
+    assert (code, out) == (3, "")
+    assert message in err
 
 
 def test_kernel_at_origin(capsys):

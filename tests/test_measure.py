@@ -70,6 +70,17 @@ def test_make_measure_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "point, weight",
+    [(1.0 + 0j, np.inf), (1.0 + 0j, np.nan), (complex(np.nan, np.nan), 1.0), (complex(np.inf, 0.0), 1.0)],
+)
+def test_make_measure_rejects_non_finite(point, weight):
+    # inf passes "weight > 0" and nan passes "| |p| - 1 | > 1e-12" as
+    # False, so finiteness is its own gate.
+    with pytest.raises(ValidationError, match="is not finite"):
+        make_measure([point], [weight])
+
+
 def test_moment_law(property_measures):
     for mu in property_measures:
         total = sum(mu.weights)

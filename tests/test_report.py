@@ -44,8 +44,9 @@ def test_report_extra_trunc_size(canonical_mu):
 
 
 def test_report_two_norm_svds_per_size(monkeypatch, canonical_mu):
-    # One 2-norm for the shift and one for the dual's contraction gate,
-    # which the report reuses as cauchy_dual_interior_norm.
+    # One 2-norm, the dual's contraction gate's, which the report reuses
+    # as cauchy_dual_interior_norm; the shift's norm comes from its
+    # factored defect form.
     calls = []
     norm = np.linalg.norm
 
@@ -57,7 +58,7 @@ def test_report_two_norm_svds_per_size(monkeypatch, canonical_mu):
     monkeypatch.setattr(np.linalg, "norm", counting)
     doc = build_report(canonical_mu, trunc=128, nmax=6)
     assert len(doc["oracle"]["runs"]) == 4
-    assert len(calls) == 2 * 4
+    assert len(calls) == 1 * 4
 
 
 def test_report_builds_canonical_model_once(monkeypatch):
