@@ -11,15 +11,19 @@ Two independent routes:
 2. A truncated-operator oracle: the monomial Gram matrix of D(mu), the
    matrix of the shift in the orthonormalized basis, its Cauchy dual, and
    the Agler / hyperexpansivity defect forms on an interior block that
-   absorbs truncation edge effects.  Every defect form comes from one
-   recursion, ``B_n = B_{n-1} - X* B_{n-1} X`` from ``B_0 = I``, carried
-   on low-rank factors ``B_n = W_n H_n W_n*``.  By the local
-   Dirichlet formula ``M*M - I`` has rank k <= 8, so ``B_1 = I - X* X`` of
-   the truncated shift or its dual has rank about k + 2 (two directions
-   come from the truncation edge), and each order adds one or two.  A
-   fixed 16-column test matrix captures the range of ``B_1`` once, behind
-   a residual certificate with an ``eigh`` fallback; every later order is
-   a QR of ``[W, X* W]`` and an eigendecomposition of its small core, at
+   absorbs truncation edge effects.  The bordered factor of the size
+   ``N+1`` Gram matrix gives the shift's image ``Y`` one degree up, and
+   ``Y* Y`` gives both the section of ``M* M`` and the shift's
+   ``I - T* T``; the dual is one linear solve against that section.
+   Every defect form comes from one recursion,
+   ``B_n = B_{n-1} - X* B_{n-1} X`` from ``B_0 = I``, carried on low-rank
+   factors ``B_n = W_n H_n W_n*``.  By the local Dirichlet formula
+   ``M*M - I`` has rank k <= 8, so ``B_1 = I - X* X`` of the truncated
+   shift or its dual has rank about k + 2 (two directions come from the
+   truncation edge), and each order adds one or two.  A fixed 16-column
+   test matrix captures the range of ``B_1`` once, behind a residual
+   certificate with an ``eigh`` fallback; every later order is a QR of
+   ``[W, X* W]`` and an eigendecomposition of its small core, at
    ``O(N^2 r)`` instead of ``O(N^3)``.  A form's interior eigenvalues are
    those of the core of ``W[:keep]``, joined by 0.
 
@@ -33,7 +37,7 @@ independent, but the raw scalars are not; the canonical frame pins them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -221,13 +225,21 @@ class TruncationWorkspace:
     margin : int
         Interior margin for edge-effect-free assertions.
     mstar_m : ndarray
-        Exact ``N x N`` finite section of ``M* M`` computed through the
-        size ``N+1`` Gram matrix (the shifted basis vectors live one
-        degree up, so one extra row captures them exactly).
+        Exact ``N x N`` finite section of ``M* M``, exactly Hermitian.  The
+        shifted basis vectors live one degree up, so it is ``Y* Y`` plus
+        one corner term, with ``Y`` their coordinates in the size ``N+1``
+        basis (see :func:`build_truncation`).
+    defect : ndarray or None
+        Init-only: the dense ``I - T* T`` when the caller already has it;
+        None computes it from ``T``.
+    shift_form : tuple of ndarray
+        ``(W, H)`` with ``I - T* T = W H W*``, the order-1 defect form the
+        shift's recursion starts from.  Derived from the ``T`` passed in,
+        so ``dataclasses.replace(w, T=...)`` never reads a stale form.
     norm_T : float
         Spectral norm of the truncated ``T``, recorded as the shift-norm
         bound: ``sqrt(max(1, 1 - lambda_min))`` with ``lambda_min`` the
-        smallest eigenvalue of the factored ``I - T* T``, so no SVD runs.
+        smallest eigenvalue of ``H`` in ``shift_form``, so no SVD runs.
     """
 
     mu: MeasureSpec
@@ -237,11 +249,30 @@ class TruncationWorkspace:
     T: np.ndarray
     margin: int
     mstar_m: np.ndarray
-    norm_T: float
+    defect: InitVar[np.ndarray | None] = None
+    shift_form: tuple = field(init=False)
+    norm_T: float = field(init=False)
+
+    def __post_init__(self, defect):
+        form = _first_form(_dense_first(self.T) if defect is None else defect)
+        # ||T||^2 = 1 - min eig(I - T*T), and at least 1: the shift is expansive.
+        lowest = np.linalg.eigvalsh(form[1]).min(initial=1.0)
+        object.__setattr__(self, "shift_form", form)
+        object.__setattr__(self, "norm_T", float(np.sqrt(max(1.0, 1.0 - lowest))))
 
 
 def build_truncation(mu, n):
     """Build the :class:`TruncationWorkspace` at size ``n``.
+
+    ``conj(gram_big)``, the Gram matrix at size ``n + 1``, has the
+    bordered factor ``[[C, b], [0, beta]]`` with ``C`` the factor at size
+    ``n``.  Its column ``j + 1`` holds the coordinates of ``z^(j+1)``, so
+    the shifted basis vectors have the coordinates ``[[Y], [beta l e*]]``
+    with ``Y = [C[:, 1:], b] C^-1``, ``l = C^-1[n-1, n-1]`` and ``e`` the
+    last basis vector.  Hence ``M* M = Y* Y + beta^2 |l|^2 e e*``, and
+    ``T``, which maps ``z^n`` to 0, is ``Y - v e*`` with ``v = b l``.  Then
+    ``T* T = Y* Y - u e* - e u* + |v|^2 e e*`` with ``u = Y* v``, so the
+    one product ``Y* Y`` gives both ``mstar_m`` and ``I - T* T``.
 
     Parameters
     ----------
@@ -274,19 +305,31 @@ def build_truncation(mu, n):
             f"{np.trace(gram).real:.3e} of 0"
         )
     c_inv = np.linalg.inv(c)
-    t = np.pad(c[:, 1:], ((0, 0), (0, 1))) @ c_inv
-    mstar_m = c_inv.conj().T @ np.conj(gram_big[1:, 1:]) @ c_inv
-    # ||T||^2 = 1 - min eig(I - T*T), and at least 1: the shift is expansive.
-    lowest = np.linalg.eigvalsh(_first_form(t)[1]).min(initial=1.0)
+    b = c_inv.conj().T @ np.conj(gram_big[:n, n])
+    ell = c_inv[-1, -1]
+    v = b * ell
+    y = np.hstack((c[:, 1:], b[:, None])) @ c_inv
+    u = (v.conj() @ y).conj()
+    # Y* Y made exactly Hermitian, then negated into I - T* T.
+    mstar_m = y.conj().T @ y
+    mstar_m += mstar_m.conj().T
+    mstar_m *= 0.5
+    defect = np.negative(mstar_m)
+    defect.flat[:: n + 1] += 1.0
+    defect[:, -1] += u
+    defect[-1] += u.conj()
+    defect[-1, -1] -= np.vdot(v, v).real
+    mstar_m[-1, -1] += (gram_big[n, n].real - np.vdot(b, b).real) * abs(ell) ** 2
+    y[:, -1] -= v
     return TruncationWorkspace(
         mu=mu,
         N=n,
         gram=gram,
         onb_factor=c,
-        T=t,
+        T=y,
         margin=max(4, n // 8),
         mstar_m=mstar_m,
-        norm_T=float(np.sqrt(max(1.0, 1.0 - lowest))),
+        defect=defect,
     )
 
 
@@ -327,16 +370,23 @@ def _compress(q, core):
     return q @ v, (h + h.conj().T) / 2
 
 
-def _first_form(x):
-    """Factor ``B_1 = I - X* X`` as ``(W, H)`` with ``B_1 = W H W*``.
+def _dense_first(x):
+    """``B_1 = I - X* X``, one product of the matrix passed in, negated in place."""
+    b = x.conj().T @ x
+    np.negative(b, out=b)
+    b.flat[:: b.shape[0] + 1] += 1.0
+    return b
 
-    ``B_1`` is one product of the matrix passed in.  ``Q``, an orthonormal
-    basis of ``B_1 Omega`` for the fixed test matrix ``Omega``, captures its
-    range when ``||B_1 - Q H Q*||_F <= CERT_REL * max(1, ||B_1||_F)`` with
+
+def _first_form(b):
+    """Factor a dense ``B_1`` as ``(W, H)`` with ``B_1 = W H W*``.
+
+    ``Q``, an orthonormal basis of ``B_1 Omega`` for the fixed test matrix
+    ``Omega``, captures its range when
+    ``||B_1 - Q H Q*||_F <= CERT_REL * max(1, ||B_1||_F)`` with
     ``H = Q* B_1 Q``; otherwise ``eigh`` of ``B_1`` gives the full factor.
     """
-    n = x.shape[0]
-    b = np.eye(n, dtype=complex) - x.conj().T @ x
+    n = b.shape[0]
     q = np.linalg.qr(b @ _test_matrix(n))[0]
     h = q.conj().T @ b @ q
     r = q @ h @ q.conj().T
@@ -346,8 +396,11 @@ def _first_form(x):
     return _compress(q, h)
 
 
-def _defect_factors(x, nmax):
+def _defect_factors(x, nmax, first=None):
     """Yield ``(W_n, H_n)`` with ``B_n = W_n H_n W_n*`` for n = 1..nmax.
+
+    The walk starts from ``first``, the factor of ``B_1`` when the caller
+    has it, or else from ``B_1 = I - X* X``, one product of ``X``.
 
     ``B_n = sum_j (-1)^j binom(n, j) (X^j)* X^j`` is Agler's identity
     ``B_n = (1 - L)^n I`` with ``L(Y) = X* Y X``, walked as
@@ -357,7 +410,7 @@ def _defect_factors(x, nmax):
     """
     if nmax < 1:
         return
-    w, h = _first_form(x)
+    w, h = _first_form(_dense_first(x)) if first is None else first
     yield w, h
     x_adj = x.conj().T
     for _ in range(nmax - 1):
@@ -414,7 +467,7 @@ def _shift_curve(w, orders):
     keeps = {n: _keep(w.N, n, w.margin, HYPER_ORDERS, "hyperexpansivity") for n in orders}
     m = w.N - w.margin
     hyper = {}
-    for n, (f, h) in enumerate(_defect_factors(w.T, max([2, *keeps])), 1):
+    for n, (f, h) in enumerate(_defect_factors(w.T, max([2, *keeps]), w.shift_form), 1):
         if n == 2:
             defect = float(np.max(np.abs(f[:m] @ h @ f[:m].conj().T)))
         if n in keeps:
@@ -450,7 +503,7 @@ def _gated_dual(w):
     except np.linalg.LinAlgError:
         eigs = np.linalg.eigvalsh(w.mstar_m)
         raise SingularFrame(f"frame section min eigenvalue {eigs[0]:.3e}") from None
-    dual = w.T @ np.linalg.inv(w.mstar_m)
+    dual = np.linalg.solve(w.mstar_m.T, w.T.T).T
     keep = w.N - w.margin
     nrm = float(np.linalg.norm(dual[:keep, :keep], 2))
     if nrm > 1.0 + 1e-6:
@@ -465,6 +518,8 @@ def cauchy_dual(w):
     rather than ``T* T`` of the compressed matrix; the compression has a
     dead final column, so its own ``T* T`` is singular by construction
     and would poison the inverse.
+    ``T'`` solves ``T' mstar_m = T``, transposed into one linear solve,
+    so no inverse is formed.
 
     Parameters
     ----------

@@ -108,7 +108,7 @@ def compute_A(model):
     scale = max(1.0, float(np.max(np.abs(target))))
     if worst > 1e-8 * scale:
         raise ResidualTooLarge(
-            f"interpolation residual {worst:.3e} exceeds 1e-8 * {scale:.3e}"
+            f"coefficient residual {worst:.3e} on the check grid exceeds 1e-8 * {scale:.3e}"
         )
 
     a = ahat[1:, 1:]

@@ -14,10 +14,12 @@ from cauchydual import (
     build_report,
     build_truncation,
     cauchy_dual,
+    gram_monomials,
     hyperexpansivity_max_eig,
     make_measure,
     two_isometry_defect,
 )
+from cauchydual import cdsp
 from cauchydual.cdsp import PROBE_COLS, _defect_factors, _extreme, _oracle_run
 
 AGLER_N6_CANONICAL = -1.203254e-02
@@ -66,6 +68,67 @@ def test_frame_section_matches_interior_tstar_t(property_measures):
         keep = w.N - w.margin
         diff = w.T.conj().T @ w.T - w.mstar_m
         assert np.max(np.abs(diff[:keep, :keep])) <= 1e-12
+
+
+def test_frame_section_matches_the_two_product_reference(seeded_measure):
+    # The bordered product Y* Y against inv(c)* conj(G') inv(c) with G' the
+    # shifted block of the size N+1 Gram matrix.  The reference also
+    # carries the Cholesky backward error inv(c)* (C* C - conj G) inv(c),
+    # which grows with N (measured up to 1.3e-13 * max|M| at N=384), so the
+    # bound is N * 1e-15 * max|M|.
+    rng = np.random.default_rng(96)
+    for size in (48, 96, 384):
+        for k in range(1, 9):
+            w = build_truncation(seeded_measure(rng, k), size)
+            c_inv = np.linalg.inv(w.onb_factor)
+            shifted = np.conj(gram_monomials(w.mu, size + 1)[1:, 1:])
+            ref = c_inv.conj().T @ shifted @ c_inv
+            m = w.mstar_m
+            assert np.max(np.abs(m - ref)) <= size * 1e-15 * np.max(np.abs(ref))
+            assert np.array_equal(m, m.conj().T)
+
+
+def test_cauchy_dual_matches_the_inverse(property_measures, seeded_measure):
+    rng = np.random.default_rng(97)
+    cases = [(mu, 48) for mu in property_measures]
+    cases += [(seeded_measure(rng, k), 384) for k in (1, 4, 8)]
+    for mu, size in cases:
+        w = build_truncation(mu, size)
+        ref = w.T @ np.linalg.inv(w.mstar_m)
+        assert np.max(np.abs(cauchy_dual(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_truncation_and_oracle_run_one_inverse_and_two_first_forms(monkeypatch, canonical_mu):
+    # One inverse (of the Gram factor) and one dense first form per
+    # operator: the shift's from the bordered product, the dual's from X.
+    invs, forms = [], []
+    inv, first_form = np.linalg.inv, cdsp._first_form
+
+    def counted_inv(a, *args, **kwargs):
+        invs.append(np.shape(a))
+        return inv(a, *args, **kwargs)
+
+    def counted_form(b):
+        forms.append(b)
+        return first_form(b)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(cdsp, "_first_form", counted_form)
+    w = build_truncation(canonical_mu, 384)
+    _oracle_run(w, 6)
+    assert invs == [(384, 384)]
+    assert [b.shape for b in forms] == [(384, 384)] * 2
+    dual = cauchy_dual(w)
+    for b, x in zip(forms, (w.T, dual)):
+        ref = np.eye(384) - x.conj().T @ x
+        assert np.max(np.abs(b - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_replaced_shift_recomputes_its_first_form(canonical_mu):
+    w = build_truncation(canonical_mu, 24)
+    doubled = dataclasses.replace(w, T=2.0 * w.T)
+    assert abs(doubled.norm_T - np.linalg.norm(2.0 * w.T, 2)) <= 1e-12 * doubled.norm_T
+    assert abs(doubled.norm_T - 2.0 * w.norm_T) <= 1e-12 * doubled.norm_T
 
 
 def test_leading_blocks_stabilize(canonical_mu):

@@ -256,3 +256,16 @@ def test_compute_a_half_degree_separation_fails_origin_gate():
     model = build_model(parse_measure("deg:0;deg:0.5"))
     with pytest.raises(ResidualTooLarge, match="nonvanishing origin coefficients"):
         compute_A(model)
+
+
+def test_compute_a_check_grid_gate_names_the_coefficient_residual(monkeypatch):
+    # The gate compares the closed-form coefficients with the numerator
+    # evaluated directly; a shifted numerator must trip it by name.
+    grid = debranges._numerator_grid
+    monkeypatch.setattr(
+        debranges, "_numerator_grid", lambda model, z, wb: grid(model, z, wb) + 1e-3
+    )
+    with pytest.raises(
+        ResidualTooLarge, match=r"coefficient residual 1\.000e-03 on the check grid exceeds 1e-8 \* "
+    ):
+        compute_A(build_model(parse_measure("1;i")))
