@@ -11,21 +11,20 @@ Two independent routes:
 2. A truncated-operator oracle: the monomial Gram matrix of D(mu), the
    matrix of the shift in the orthonormalized basis, its Cauchy dual, and
    the Agler / hyperexpansivity defect forms on an interior block that
-   absorbs truncation edge effects.  The bordered factor of the size
-   ``N+1`` Gram matrix gives the shift's image ``Y`` one degree up, and
-   ``Y* Y`` gives both the section of ``M* M`` and the shift's
-   ``I - T* T``; the dual is one linear solve against that section.
-   Every defect form comes from one recursion,
-   ``B_n = B_{n-1} - X* B_{n-1} X`` from ``B_0 = I``, carried on low-rank
-   factors ``B_n = W_n H_n W_n*``.  By the local Dirichlet formula
-   ``M*M - I`` has rank k <= 8, so ``B_1 = I - X* X`` of the truncated
-   shift or its dual has rank about k + 2 (two directions come from the
-   truncation edge), and each order adds one or two.  A fixed 16-column
-   test matrix captures the range of ``B_1`` once, behind a residual
-   certificate with an ``eigh`` fallback; every later order is a QR of
-   ``[W, X* W]`` and an eigendecomposition of its small core, at
-   ``O(N^2 r)`` instead of ``O(N^3)``.  A form's interior eigenvalues are
-   those of the core of ``W[:keep]``, joined by 0.
+   absorbs truncation edge effects.  By the local Dirichlet formula the
+   section of ``M* M`` is ``I + F F*`` with ``F`` of width k <= 8, and
+   the shift's ``I - T* T`` is factored from ``F`` and two edge columns;
+   the dual is one linear solve against that section.  Every defect form
+   comes from one recursion, ``B_n = B_{n-1} - X* B_{n-1} X`` from
+   ``B_0 = I``, carried on low-rank factors ``B_n = W_n H_n W_n*``:
+   ``B_1 = I - X* X`` of the truncated shift or its dual has rank about
+   k + 2 (two directions come from the truncation edge), and each order
+   adds one or two.  For the dual a fixed 16-column test matrix captures
+   the range of ``B_1`` once, behind a residual certificate with an
+   ``eigh`` fallback; every later order is a QR of ``[W, X* W]`` and an
+   eigendecomposition of its small core, at ``O(N^2 r)`` instead of
+   ``O(N^3)``.  A form's interior eigenvalues are those of the core of
+   ``W[:keep]``, joined by 0.
 
 Scalars produced by the closed-form route (overlap sum, coupling
 determinant) are computed in a canonical rotation frame: atoms sorted by
@@ -67,8 +66,8 @@ __all__ = [
 
 QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
 
-# The range of the order-1 defect form comes from a test matrix with this
-# many columns (twice the grammar's 8 atoms), accepted when the factor's
+# The range of the dual's order-1 defect form comes from a test matrix with
+# this many columns (twice the grammar's 8 atoms), accepted when the factor's
 # residual is at most CERT_REL of the form's Frobenius norm (or 1).
 PROBE_COLS = 16
 CERT_REL = 1e-9
@@ -225,17 +224,16 @@ class TruncationWorkspace:
     margin : int
         Interior margin for edge-effect-free assertions.
     mstar_m : ndarray
-        Exact ``N x N`` finite section of ``M* M``, exactly Hermitian.  The
-        shifted basis vectors live one degree up, so it is ``Y* Y`` plus
-        one corner term, with ``Y`` their coordinates in the size ``N+1``
-        basis (see :func:`build_truncation`).
-    defect : ndarray or None
-        Init-only: the dense ``I - T* T`` when the caller already has it;
-        None computes it from ``T``.
+        Exact ``N x N`` finite section of ``M* M``, exactly Hermitian:
+        ``I + F F*`` with ``F`` of width k, by the local Dirichlet formula
+        (see :func:`build_truncation`).
+    factor : tuple of ndarray or None
+        Init-only: ``(W, H)`` with ``I - T* T = W H W*`` when the caller
+        already has it; None factors the dense ``I - T* T`` of ``T``.
     shift_form : tuple of ndarray
         ``(W, H)`` with ``I - T* T = W H W*``, the order-1 defect form the
-        shift's recursion starts from.  Derived from the ``T`` passed in,
-        so ``dataclasses.replace(w, T=...)`` never reads a stale form.
+        shift's recursion starts from: ``factor``, or else derived from
+        ``T``, so ``dataclasses.replace(w, T=...)`` never reads a stale form.
     norm_T : float
         Spectral norm of the truncated ``T``, recorded as the shift-norm
         bound: ``sqrt(max(1, 1 - lambda_min))`` with ``lambda_min`` the
@@ -249,12 +247,12 @@ class TruncationWorkspace:
     T: np.ndarray
     margin: int
     mstar_m: np.ndarray
-    defect: InitVar[np.ndarray | None] = None
+    factor: InitVar[tuple | None] = None
     shift_form: tuple = field(init=False)
     norm_T: float = field(init=False)
 
-    def __post_init__(self, defect):
-        form = _first_form(_dense_first(self.T) if defect is None else defect)
+    def __post_init__(self, factor):
+        form = _first_form(_dense_first(self.T)) if factor is None else factor
         # ||T||^2 = 1 - min eig(I - T*T), and at least 1: the shift is expansive.
         lowest = np.linalg.eigvalsh(form[1]).min(initial=1.0)
         object.__setattr__(self, "shift_form", form)
@@ -264,15 +262,15 @@ class TruncationWorkspace:
 def build_truncation(mu, n):
     """Build the :class:`TruncationWorkspace` at size ``n``.
 
-    ``conj(gram_big)``, the Gram matrix at size ``n + 1``, has the
-    bordered factor ``[[C, b], [0, beta]]`` with ``C`` the factor at size
-    ``n``.  Its column ``j + 1`` holds the coordinates of ``z^(j+1)``, so
-    the shifted basis vectors have the coordinates ``[[Y], [beta l e*]]``
-    with ``Y = [C[:, 1:], b] C^-1``, ``l = C^-1[n-1, n-1]`` and ``e`` the
-    last basis vector.  Hence ``M* M = Y* Y + beta^2 |l|^2 e e*``, and
-    ``T``, which maps ``z^n`` to 0, is ``Y - v e*`` with ``v = b l``.  Then
-    ``T* T = Y* Y - u e* - e u* + |v|^2 e e*`` with ``u = Y* v``, so the
-    one product ``Y* Y`` gives both ``mstar_m`` and ``I - T* T``.
+    With ``C* C = conj(gram)``, column ``m`` of ``C`` holds the coordinates
+    of ``z^m``, so ``T = [C[:, 1:], 0] C^-1`` maps ``z^n`` to 0.  By the
+    local Dirichlet formula ``||z f||^2 = ||f||^2 + sum_j w_j |f(zeta_j)|^2``
+    the section of ``M* M`` is ``I + F F*``, where column ``j`` of the
+    ``n x k`` matrix ``F`` is ``sqrt(w_j)`` times the conjugated values of
+    the orthonormal basis at ``zeta_j``.  ``T* T`` differs from it only in
+    the last row and column ``d = T* T e - M* M e`` (``e`` the last basis
+    vector), so ``I - T* T = -F F* - d e* - e d* + d_{n-1} e e*`` is
+    factored from a QR of the ``k + 2`` columns ``[F, e, d]``.
 
     Parameters
     ----------
@@ -295,8 +293,7 @@ def build_truncation(mu, n):
     """
     if n < 8:
         raise ValidationError("truncation size must be at least 8")
-    gram_big = gram_monomials(mu, n + 1)
-    gram = gram_big[:n, :n]
+    gram = gram_monomials(mu, n)
     c = cholesky_upper(np.conj(gram))
     zero = np.flatnonzero(np.diag(c) == 0.0)
     if zero.size:
@@ -305,31 +302,29 @@ def build_truncation(mu, n):
             f"{np.trace(gram).real:.3e} of 0"
         )
     c_inv = np.linalg.inv(c)
-    b = c_inv.conj().T @ np.conj(gram_big[:n, n])
-    ell = c_inv[-1, -1]
-    v = b * ell
-    y = np.hstack((c[:, 1:], b[:, None])) @ c_inv
-    u = (v.conj() @ y).conj()
-    # Y* Y made exactly Hermitian, then negated into I - T* T.
-    mstar_m = y.conj().T @ y
+    vander = np.conj(mu.points)[None, :] ** np.arange(n)[:, None]
+    f = c_inv.conj().T @ (vander * np.sqrt(mu.weights))
+    # I + F F* made exactly Hermitian.
+    mstar_m = f @ f.conj().T
     mstar_m += mstar_m.conj().T
     mstar_m *= 0.5
-    defect = np.negative(mstar_m)
-    defect.flat[:: n + 1] += 1.0
-    defect[:, -1] += u
-    defect[-1] += u.conj()
-    defect[-1, -1] -= np.vdot(v, v).real
-    mstar_m[-1, -1] += (gram_big[n, n].real - np.vdot(b, b).real) * abs(ell) ** 2
-    y[:, -1] -= v
+    mstar_m.flat[:: n + 1] += 1.0
+    t = np.hstack((c[:, 1:], np.zeros((n, 1)))) @ c_inv
+    d = t.conj().T @ t[:, -1] - mstar_m[:, -1]
+    e = np.zeros(n)
+    e[-1] = 1.0
+    q, r = np.linalg.qr(np.column_stack((f, e, d)))
+    core = -np.eye(mu.k + 2)
+    core[mu.k :, mu.k :] = [[d[-1].real, -1.0], [-1.0, 0.0]]
     return TruncationWorkspace(
         mu=mu,
         N=n,
         gram=gram,
         onb_factor=c,
-        T=y,
+        T=t,
         margin=max(4, n // 8),
         mstar_m=mstar_m,
-        defect=defect,
+        factor=_compress(q, r @ core @ r.conj().T),
     )
 
 
@@ -521,6 +516,11 @@ def cauchy_dual(w):
     ``T'`` solves ``T' mstar_m = T``, transposed into one linear solve,
     so no inverse is formed.
 
+    The frame gate ``min eig(mstar_m) > 1e-10`` cannot trip on a
+    workspace from :func:`build_truncation`, whose ``I + F F*`` has every
+    eigenvalue at least 1; it stays because a :class:`TruncationWorkspace`
+    can be built by hand with any ``mstar_m``.
+
     Parameters
     ----------
     w : TruncationWorkspace
@@ -579,8 +579,8 @@ def hyperexpansivity_max_eig(w, n):
     for every ``n >= 1``; the order-2 form vanishes identically for a
     2-isometry.  The form is ``B_n`` of the defect recursion.
 
-    The form is factored as in :func:`agler_min_eig`, and the value is
-    the largest eigenvalue of the core of the factor's interior rows,
+    The recursion starts from the workspace's ``shift_form``; the value
+    is the largest eigenvalue of the core of the factor's interior rows,
     joined by 0 when the block is wider than the factor.
 
     Parameters

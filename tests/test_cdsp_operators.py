@@ -17,6 +17,7 @@ from cauchydual import (
     gram_monomials,
     hyperexpansivity_max_eig,
     make_measure,
+    parse_measure,
     two_isometry_defect,
 )
 from cauchydual import cdsp
@@ -98,9 +99,9 @@ def test_cauchy_dual_matches_the_inverse(property_measures, seeded_measure):
         assert np.max(np.abs(cauchy_dual(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_truncation_and_oracle_run_one_inverse_and_two_first_forms(monkeypatch, canonical_mu):
-    # One inverse (of the Gram factor) and one dense first form per
-    # operator: the shift's from the bordered product, the dual's from X.
+def test_truncation_and_oracle_run_one_inverse_and_one_first_form(monkeypatch, canonical_mu):
+    # One inverse (of the Gram factor) and one dense first form, the
+    # dual's: the shift's form comes from F and two edge columns.
     invs, forms = [], []
     inv, first_form = np.linalg.inv, cdsp._first_form
 
@@ -115,13 +116,43 @@ def test_truncation_and_oracle_run_one_inverse_and_two_first_forms(monkeypatch, 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     monkeypatch.setattr(cdsp, "_first_form", counted_form)
     w = build_truncation(canonical_mu, 384)
+    assert forms == []
     _oracle_run(w, 6)
     assert invs == [(384, 384)]
-    assert [b.shape for b in forms] == [(384, 384)] * 2
+    assert [b.shape for b in forms] == [(384, 384)]
     dual = cauchy_dual(w)
-    for b, x in zip(forms, (w.T, dual)):
-        ref = np.eye(384) - x.conj().T @ x
-        assert np.max(np.abs(b - ref)) <= 1e-12 * np.max(np.abs(ref))
+    ref = np.eye(384) - dual.conj().T @ dual
+    assert np.max(np.abs(forms[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_shift_form_and_frame_section_have_rank_k_structure(seeded_measure):
+    # M*M = I + F F* with F of width k, and I - T*T adds only the two
+    # edge columns e and d: the factor is at most k + 2 wide.
+    rng = np.random.default_rng(98)
+    for size in (48, 96, 384):
+        for k in range(1, 9):
+            w = build_truncation(seeded_measure(rng, k), size)
+            f, h = w.shift_form
+            assert f.shape[1] == h.shape[0] <= k + 2
+            dense = np.eye(size) - w.T.conj().T @ w.T
+            err = np.max(np.abs(f @ h @ f.conj().T - dense))
+            assert err <= 1e-13 * max(1.0, np.max(np.abs(dense)))
+            ones = np.abs(np.linalg.eigvalsh(w.mstar_m) - 1.0) <= 1e-12
+            assert np.count_nonzero(ones) == size - k
+
+
+def test_known_zero_forms_stay_at_the_noise_floor():
+    # At N=384 the forms that vanish or are nonnegative in exact arithmetic
+    # read only round-off: the dual's Agler forms of known-subnormal
+    # measures at orders 1-4, and the shift's hyperexpansivity forms at
+    # orders 2-4 (zero interior for a 2-isometry).
+    for text in ("1", "1:w=3", "1;-1"):
+        w = build_truncation(parse_measure(text), 384)
+        dual = cauchy_dual(w)
+        assert min(agler_min_eig(dual, n, w.margin) for n in range(1, 5)) >= -1e-11
+    for text in ("1;i", "deg:0;deg:120;deg:240", "deg:10;deg:100;deg:190;deg:280"):
+        w = build_truncation(parse_measure(text), 384)
+        assert max(hyperexpansivity_max_eig(w, n) for n in range(2, 5)) <= 3e-12
 
 
 def test_replaced_shift_recomputes_its_first_form(canonical_mu):
