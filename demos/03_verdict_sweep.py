@@ -34,7 +34,8 @@ print("\ncoupling determinant:", coupling_determinant(mu))
 # Rotating every atom by a common phase is a unitary equivalence, so the
 # verdict and the overlap sum cannot change.  The test evaluates in a
 # canonical frame (first atom rotated to 1), which makes the scalar a
-# true invariant rather than a frame artifact.
+# true invariant rather than a frame artifact; its values are read off
+# the measure's own model by the rotation identity, not a second model.
 for phi in (np.pi / 7, np.pi / 3, 1.0):
     rot = np.exp(1j * phi)
     mu_rot = make_measure([rot * p for p in mu.points], list(mu.weights))

@@ -26,11 +26,15 @@ Two independent routes:
    ``O(N^3)``.  A form's interior eigenvalues are those of the core of
    ``W[:keep]``, joined by 0.
 
-Scalars produced by the closed-form route (overlap sum, coupling
-determinant) are computed in a canonical rotation frame: atoms sorted by
-principal argument and rotated so the first atom sits at 1.  Rotating a
+Scalars produced by the closed-form route (overlap sum, root products,
+coupling determinant) are those of a canonical rotation frame: atoms sorted
+by principal argument and rotated so the first atom sits at 1.  Rotating a
 measure is a unitary change of the whole picture, so the verdict is frame
 independent, but the raw scalars are not; the canonical frame pins them.
+They are read off the measure's own model by the rotation identity, with no
+second model: rotating by ``rho`` sends the outer roots to ``rho * alpha``
+and ``A`` to ``U A U*`` with ``U = diag(conj(rho)**(i+1))``, so the frame's
+polynomials are ``conj(rho)**(j+1) * p_j(rho z)``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .cpoly import poly_eval
+from .cpoly import _sort_roots, poly_eval
 from .debranges import build_identification, cholesky_upper
 from .dirichlet import build_model
 from .errors import NonConvergence, SingularFrame, SingularGram, ToolkitError, ValidationError
@@ -658,26 +662,37 @@ def canonical_frame(mu):
     return make_measure(new_pts, mu.weights)
 
 
-def _canonical_analysis(mu):
-    """Model and identification of ``mu`` in its canonical frame."""
-    model = build_model(canonical_frame(mu))
-    return model, build_identification(model)
+def _canonical_values(mu, analysis=None):
+    """Outer roots ``alpha`` of :func:`canonical_frame` of ``mu`` and values
+    ``V`` whose rows pair to that frame's overlaps
+    ``W_rt = sum_j p_j(alpha_r) conj(p_j(alpha_t)) = V[r] @ conj(V[t])``.
+
+    Both are read off ``analysis``, the ``(model, ident)`` of ``mu`` itself
+    (built here when None).  With ``rho = conj(zeta_1) / |zeta_1|`` the
+    frame's outer roots are ``rho`` times those of ``mu``, sorted into root
+    order, and its polynomials are ``conj(rho)**(j+1) * p_j(rho z)``;
+    ``V[r, j] = p_j(rho * alpha_r)`` drops only those unimodular factors.
+    """
+    if analysis is None:
+        model = build_model(mu)
+        analysis = model, build_identification(model)
+    model, ident = analysis
+    rho = np.conj(mu.points[0]) / abs(mu.points[0])
+    alpha = _sort_roots(rho * model.fact.outer_roots)
+    vals = np.array([[poly_eval(pj, rho * a) for pj in ident.p_polys] for a in alpha])
+    return alpha, vals
 
 
 def _overlap_scalars(frame):
     """Canonical-frame overlap sum, root products, and threshold scale."""
-    model, ident = frame
-    alpha = model.fact.outer_roots
-    p1 = np.array([poly_eval(pj, alpha[0]) for pj in ident.p_polys])
-    p2 = np.array([poly_eval(pj, alpha[1]) for pj in ident.p_polys])
-    w12 = complex(p1 @ np.conj(p2))
-    s_offdiag = w12 + np.conj(w12)
+    alpha, vals = frame
+    w12 = complex(vals[0] @ np.conj(vals[1]))
     products = (
         complex(alpha[0] * np.conj(alpha[1])),
         complex(alpha[1] * np.conj(alpha[0])),
     )
-    scale = float(np.max(np.abs(p1 * p2))) if alpha.size else 0.0
-    return complex(s_offdiag), products, scale
+    scale = float(np.max(np.abs(vals[0] * vals[1])))
+    return complex(w12 + np.conj(w12)), products, scale
 
 
 def _in_ray(product):
@@ -707,49 +722,25 @@ def closed_form_test(mu):
 
 def _closed_form(mu, frame):
     """:func:`closed_form_test`, reusing ``frame`` (the result of
-    :func:`_canonical_analysis`) for two atoms, or building it when None."""
-    if mu.k == 1:
-        return CdspVerdict(
-            verdict="KnownSubnormal",
-            s_offdiag=None,
-            root_products=(),
-            citations=(CITE_SINGLE_ATOM,),
-        )
+    :func:`_canonical_values`) for two atoms, or building it when None."""
     if mu.k != 2:
-        return CdspVerdict(
-            verdict="Inconclusive",
-            s_offdiag=None,
-            root_products=(),
-            citations=(CITE_K_RANGE,),
-        )
+        if mu.k == 1:
+            return CdspVerdict("KnownSubnormal", None, (), (CITE_SINGLE_ATOM,))
+        return CdspVerdict("Inconclusive", None, (), (CITE_K_RANGE,))
     pts = mu.points
     if abs(pts[0] + pts[1]) <= 1e-9:
         try:
-            s_offdiag, products, _ = _overlap_scalars(frame or _canonical_analysis(mu))
+            s_offdiag, products, _ = _overlap_scalars(frame or _canonical_values(mu))
         except ToolkitError:
             s_offdiag, products = None, ()
-        return CdspVerdict(
-            verdict="KnownSubnormal",
-            s_offdiag=s_offdiag,
-            root_products=products,
-            citations=(CITE_ANTIPODAL,),
-        )
-    s_offdiag, products, scale = _overlap_scalars(frame or _canonical_analysis(mu))
+        return CdspVerdict("KnownSubnormal", s_offdiag, products, (CITE_ANTIPODAL,))
+    s_offdiag, products, scale = _overlap_scalars(frame or _canonical_values(mu))
     nonzero = abs(s_offdiag) > 1e-8 * scale
     off_ray = all(not _in_ray(rp) for rp in products)
     if nonzero and off_ray:
-        return CdspVerdict(
-            verdict="NotSubnormal",
-            s_offdiag=s_offdiag,
-            root_products=products,
-            citations=(CITE_NOT_SUBNORMAL_OVERLAP, CITE_NOT_SUBNORMAL_RAY),
-        )
-    return CdspVerdict(
-        verdict="Inconclusive",
-        s_offdiag=s_offdiag,
-        root_products=products,
-        citations=(CITE_INCONCLUSIVE,),
-    )
+        cites = (CITE_NOT_SUBNORMAL_OVERLAP, CITE_NOT_SUBNORMAL_RAY)
+        return CdspVerdict("NotSubnormal", s_offdiag, products, cites)
+    return CdspVerdict("Inconclusive", s_offdiag, products, (CITE_INCONCLUSIVE,))
 
 
 def coupling_determinant(mu):
@@ -776,16 +767,12 @@ def coupling_determinant(mu):
     """
     if mu.k != 2:
         raise ValidationError("coupling determinant requires exactly two atoms")
-    return _coupling(_canonical_analysis(mu))
+    return _coupling(_canonical_values(mu))
 
 
 def _coupling(frame):
     """:func:`coupling_determinant` from a two-atom canonical ``frame``."""
-    model, ident = frame
-    alpha = model.fact.outer_roots
-    vals = np.array(
-        [[poly_eval(pj, alpha[r]) for pj in ident.p_polys] for r in range(2)]
-    )
+    alpha, vals = frame
     total = 0j
     for r in range(2):
         for t in range(2):

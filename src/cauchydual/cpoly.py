@@ -346,7 +346,6 @@ def spectral_factorize(num):
 
     match_grid = np.exp(2j * np.pi * np.arange(24) / 24)
     nvals = num.eval(match_grid).real
-    qvals = poly_eval(q, match_grid)
     n_at_one = float(num.eval(1.0 + 0j).real)
     if n_at_one >= 0.1 * float(np.max(np.abs(nvals))):
         x = 1.0 + 0j

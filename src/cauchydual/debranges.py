@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import poly_eval, poly_from_roots
+from .cpoly import poly_eval
 from .errors import NotPSD, ResidualTooLarge
 
 __all__ = [
@@ -57,7 +57,8 @@ def _numerator_grid(model, z, wb):
 def compute_A(model):
     """Coefficient matrix of the de Branges-Rovnyak kernel numerator.
 
-    With ``N_r = prod_{j != r} (z - zeta_j)`` as the rows of ``N`` and
+    With ``N`` the model's ``cofactors`` (row ``r`` is
+    ``N_r = prod_{j != r} (z - zeta_j)``, built once by ``build_model``) and
     ``C[r, t] = conj(b_inv[r, t]) / (O'(zeta_r) conj(O'(zeta_t)))``, the
     pole sum ``p(z) pc(wb) S`` of the numerator has coefficients
     ``Phi = N^T C conj(N)``, so the coefficients of ``z^i * wb^j`` are
@@ -87,7 +88,7 @@ def compute_A(model):
     """
     k = model.mu.k
     q, p, d = model.fact.q, model.atom_poly, model.fact.d
-    nmat = np.array([poly_from_roots(np.delete(model.mu.points, r)) for r in range(k)])
+    nmat = model.cofactors
     coup = np.conj(model.b_inv) / np.outer(model.o_prime, np.conj(model.o_prime))
     phi = nmat.T @ coup @ np.conj(nmat) / d
     ahat = np.outer(q, np.conj(q)) - np.outer(p, np.conj(p)) / d

@@ -45,6 +45,11 @@ class DirichletModel:
     atom_poly : ndarray
         Monic polynomial with the support points as roots (ascending
         coefficients); the outer function is ``atom_poly / (sqrt(d) * q)``.
+    cofactors : ndarray
+        ``k x k``; row ``r`` holds the ascending coefficients of
+        ``N_r = prod_{j != r} (z - zeta_j)``, the monic polynomial over
+        the other atoms.  Built once here; the Gram matrix, the boundary
+        functions and :func:`~cauchydual.debranges.compute_A` read it.
     o_prime : ndarray
         Derivative of the outer function at each support point, in
         canonical atom order.
@@ -57,6 +62,7 @@ class DirichletModel:
     mu: MeasureSpec
     fact: Factorization
     atom_poly: np.ndarray
+    cofactors: np.ndarray
     o_prime: np.ndarray
     gram_f: np.ndarray
     b_inv: np.ndarray
@@ -102,6 +108,7 @@ def build_model(mu):
     sd = np.sqrt(fact.d)
     p = poly_from_roots(pts)
     dp = poly_derivative(p)
+    cofactors = np.array([poly_from_roots(np.delete(pts, r)) for r in range(k)])
     dq = poly_derivative(fact.q)
 
     o_prime = np.array(
@@ -114,8 +121,7 @@ def build_model(mu):
 
     gram = np.zeros((k, k), dtype=complex)
     for r in range(k):
-        others = [pts[j] for j in range(k) if j != r]
-        nr = poly_from_roots(others)
+        nr = cofactors[r]
         dnr = poly_derivative(nr)
         z0 = pts[r]
         qz = poly_eval(fact.q, z0)
@@ -137,7 +143,8 @@ def build_model(mu):
         raise SingularGram(f"Gram inverse residual {resid:.3e} exceeds 1e-9")
 
     return DirichletModel(
-        mu=mu, fact=fact, atom_poly=p, o_prime=o_prime, gram_f=gram, b_inv=b_inv
+        mu=mu, fact=fact, atom_poly=p, cofactors=cofactors, o_prime=o_prime,
+        gram_f=gram, b_inv=b_inv,
     )
 
 
@@ -162,7 +169,7 @@ def boundary_function_eval(model, r, z):
     """Evaluate the boundary function ``f_r(z)`` attached to atom ``r``.
 
     Uses the polynomial form ``f_r = N_r / (sqrt(d) O'(zeta_r) q)`` with
-    ``N_r`` the monic polynomial over the other atoms, which is smooth at
+    ``N_r`` the model's cofactor over the other atoms, which is smooth at
     ``zeta_r`` (no removable singularity to dodge).
 
     Parameters
@@ -176,10 +183,8 @@ def boundary_function_eval(model, r, z):
     -------
     complex or ndarray
     """
-    pts = model.mu.points
-    others = [pts[j] for j in range(model.mu.k) if j != r]
-    nr = poly_from_roots(others)
     sd = np.sqrt(model.fact.d)
+    nr = model.cofactors[r]
     return poly_eval(nr, z) / (sd * model.o_prime[r] * poly_eval(model.fact.q, z))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cdsp import (
     AGLER_ORDERS,
-    _canonical_analysis,
+    _canonical_values,
     _check_order,
     _closed_form,
     _coupling,
@@ -319,9 +319,9 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
     _check_order(nmax, AGLER_ORDERS, "defect")
     model = build_model(mu)
     ident = build_identification(model)
-    # closed_form_test and coupling_determinant share one canonical-frame
-    # model for two atoms.
-    frame = _canonical_analysis(mu) if mu.k == 2 else None
+    # The verdict and the coupling read their canonical-frame values off
+    # this one model by the rotation identity.
+    frame = _canonical_values(mu, (model, ident)) if mu.k == 2 else None
     verdict = _closed_form(mu, frame)
     coupling = _coupling(frame) if frame else None
     a, b, c = _canonical_form_constants(model)

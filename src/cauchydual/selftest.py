@@ -26,13 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdsp import (
+    _canonical_values,
+    _closed_form,
+    _coupling,
     closed_form_test,
-    coupling_determinant,
     cross_energy,
     gram_monomials,
 )
 from .cpoly import find_roots, poly_eval
-from .debranges import build_identification
+from .debranges import build_identification, kernel_hb
 from .dirichlet import build_model, kernel_full, o_mu_eval
 from .errors import ValidationError
 from .measure import make_measure
@@ -164,18 +166,20 @@ def _fmt(value, resolution):
 
 
 def _context():
+    """Every row's inputs: the ``1;i`` analysis, built once, and what is
+    read off it."""
     mu = make_measure([1.0 + 0j, 1j], [1.0, 1.0])
     model = build_model(mu)
     ident = build_identification(model)
-    verdict = closed_form_test(mu)
-    roots = find_roots(_CANONICAL_QUARTIC, tol=1e-10)
+    frame = _canonical_values(mu, (model, ident))
     return {
         "mu": mu,
         "model": model,
         "ident": ident,
-        "verdict": verdict,
-        "roots": roots,
-        "coupling": coupling_determinant(mu),
+        "verdict": _closed_form(mu, frame),
+        "roots": find_roots(_CANONICAL_QUARTIC, tol=1e-10),
+        "coupling": _coupling(frame),
+        "kernel": _kernel_checks(model, ident),
     }
 
 
@@ -191,8 +195,6 @@ def _kernel_checks(model, ident):
     zs = [0.31 + 0.22j, -0.18 + 0.55j, 0.62 - 0.11j]
     ws = [0.12 - 0.4j, 0.27 + 0.33j, -0.5 - 0.2j]
     norm_err = max(abs(kernel_full(model, z, 0.0 + 0j) - 1.0) for z in zs)
-    from .debranges import kernel_hb
-
     eq_err = max(
         abs(kernel_hb(ident, z, w) - kernel_full(model, z, w))
         for z in zs
@@ -320,12 +322,12 @@ def _registry():
     add(
         "kernel.normalization",
         "upper",
-        lambda ctx: (_kernel_checks(ctx["model"], ctx["ident"])[0], 0.0, 1e-9),
+        lambda ctx: (ctx["kernel"][0], 0.0, 1e-9),
     )
     add(
         "kernel.equality",
         "upper",
-        lambda ctx: (_kernel_checks(ctx["model"], ctx["ident"])[1], 0.0, 1e-8),
+        lambda ctx: (ctx["kernel"][1], 0.0, 1e-8),
     )
 
     def quad_spot(ctx):

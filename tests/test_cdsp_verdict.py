@@ -5,12 +5,17 @@ import pytest
 
 from cauchydual import (
     ValidationError,
+    build_identification,
+    build_model,
     canonical_frame,
     closed_form_test,
     coupling_determinant,
     make_measure,
+    parse_measure,
+    poly_eval,
     sweep_angle,
 )
+from cauchydual import cdsp
 
 S_OFFDIAG = -230.719263940288
 ROOT_PRODUCTS = (
@@ -107,6 +112,66 @@ def test_canonical_frame_idempotent(canonical_mu):
     framed = canonical_frame(canonical_mu)
     again = canonical_frame(framed)
     assert np.max(np.abs(again.points - framed.points)) == 0.0
+
+
+def _analysis(mu):
+    model = build_model(mu)
+    return model, build_identification(model)
+
+
+def _rebuilt_frame(mu):
+    """Reference: the whole pipeline rebuilt on ``canonical_frame(mu)``,
+    its polynomials evaluated at its own outer roots."""
+    model, ident = _analysis(canonical_frame(mu))
+    alpha = model.fact.outer_roots
+    return alpha, np.array([[poly_eval(pj, a) for pj in ident.p_polys] for a in alpha])
+
+
+def _frame_scalars(frame):
+    s_offdiag, products, scale = cdsp._overlap_scalars(frame)
+    return s_offdiag, products, scale, cdsp._coupling(frame)
+
+
+def _rotated_pairs(rng, count):
+    """``(mu, wrapped)``: two atoms at a random turn, 20-179.9 degrees
+    apart, with log-uniform weights in [0.1, 10], equal for every fourth
+    pair (its outer roots tie in modulus, so the turn can reorder them);
+    ``wrapped`` when the second atom passes 360 degrees and so becomes the
+    first."""
+    for i in range(count):
+        start = rng.uniform(0.0, 360.0)
+        stop = start + rng.uniform(20.0, 179.9)
+        weights = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
+        if i % 4 == 0:
+            weights[1] = weights[0]
+        yield make_measure(np.exp(1j * np.deg2rad([start, stop])), weights), stop >= 360.0
+
+
+def test_rotation_identity_matches_the_rebuilt_canonical_frame():
+    # The canonical-frame scalars come from the measure's own analysis;
+    # the pipeline rebuilt on canonical_frame(mu) gives the same values.
+    wraps = 0
+    for mu, wrapped in _rotated_pairs(np.random.default_rng(1409), 200):
+        wraps += wrapped
+        got = _frame_scalars(cdsp._canonical_values(mu, _analysis(mu)))
+        s_ref, p_ref, scale, c_ref = _frame_scalars(_rebuilt_frame(mu))
+        assert abs(got[0] - s_ref) <= 1e-10 * scale
+        assert abs(got[3] - c_ref) <= 1e-10 * abs(c_ref)
+        for g, want in zip(got[1], p_ref, strict=True):
+            assert abs(g - want) <= 1e-12 * abs(want)
+    assert wraps >= 40
+
+
+@pytest.mark.parametrize(
+    "text", ["1;i", "1;-1", "1:w=0.3;deg:47.5:w=6", "1:w=9;deg:179.9:w=0.1"]
+)
+def test_rotation_identity_is_bit_identical_with_the_first_atom_at_one(text):
+    mu = parse_measure(text)
+    ref = _frame_scalars(_rebuilt_frame(mu))
+    assert _frame_scalars(cdsp._canonical_values(mu, _analysis(mu))) == ref
+    verdict = closed_form_test(mu)
+    assert (verdict.s_offdiag, verdict.root_products) == ref[:2]
+    assert coupling_determinant(mu) == ref[3]
 
 
 def test_coupling_determinant_regression(canonical_mu):

@@ -6,18 +6,20 @@ import pytest
 from cauchydual import (
     NotPSD,
     ResidualTooLarge,
+    boundary_function_eval,
     build_identification,
     build_model,
     cholesky_upper,
     compute_A,
     kernel_full,
+    kernel_hat,
     kernel_hb,
     make_measure,
     parse_measure,
     poly_eval,
     schur_row_eval,
 )
-from cauchydual import cpoly, debranges
+from cauchydual import cpoly, debranges, dirichlet
 
 A11 = 17.1334199164530
 A12 = -5.46269136247035 - 5.46269136247035j
@@ -269,3 +271,20 @@ def test_compute_a_check_grid_gate_names_the_coefficient_residual(monkeypatch):
         ResidualTooLarge, match=r"coefficient residual 1\.000e-03 on the check grid exceeds 1e-8 \* "
     ):
         compute_A(build_model(parse_measure("1;i")))
+
+
+def test_model_readers_rebuild_no_cofactor(monkeypatch, seeded_measure):
+    # build_model builds the cofactors N_r once; compute_A, kernel_hat and
+    # boundary_function_eval read them off the model.
+    rng = np.random.default_rng(33)
+    models = [build_model(seeded_measure(rng, k)) for k in range(1, 9)]
+
+    def refuse(roots):
+        raise AssertionError("poly_from_roots called after build_model")
+
+    for module in (cpoly, dirichlet, debranges):
+        monkeypatch.setattr(module, "poly_from_roots", refuse, raising=False)
+    for model in models:
+        compute_A(model)
+        kernel_hat(model, 0.3 + 0.2j, -0.1 + 0.4j)
+        boundary_function_eval(model, model.mu.k - 1, np.array([0.5j, -0.2]))

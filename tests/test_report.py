@@ -61,23 +61,38 @@ def test_report_two_norm_svds_per_size(monkeypatch, canonical_mu):
     assert len(calls) == 1 * 4
 
 
-def test_report_builds_canonical_model_once(monkeypatch):
-    # A two-atom report builds the model in the input frame and once in
-    # the canonical frame, which the verdict and the coupling share.
-    mu = make_measure([np.exp(0.4j), np.exp(2.0j)], [1.0, 1.3])
+def _count_builds(monkeypatch, name):
+    """Record every ``name`` call that ``report`` or ``cdsp`` makes."""
     calls = []
     for module in (cdsp, report):
         monkeypatch.setattr(
-            module, "build_model",
-            lambda m, real=module.build_model: calls.append(m) or real(m),
+            module, name,
+            lambda m, real=getattr(module, name): calls.append(m) or real(m),
         )
+    return calls
+
+
+def test_report_builds_canonical_model_once(monkeypatch):
+    # A two-atom report builds one model, in the input frame; the verdict
+    # and the coupling read their canonical-frame values off it.
+    mu = make_measure([np.exp(0.4j), np.exp(2.0j)], [1.0, 1.3])
+    calls = _count_builds(monkeypatch, "build_model")
     doc = build_report(mu, skip_oracle=True)
-    assert len(calls) == 2
+    assert len(calls) == 1
     verdict = closed_form_test(mu)
     assert doc["cdsp"]["verdict"] == verdict.verdict
     assert doc["cdsp"]["s_offdiag"] == _cpx(verdict.s_offdiag)
     assert doc["cdsp"]["root_products"] == [_cpx(p) for p in verdict.root_products]
     assert doc["cdsp"]["coupling_det"] == _cpx(coupling_determinant(mu))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_report_builds_one_analysis_for_every_k(monkeypatch, seeded_measure, k):
+    mu = seeded_measure(np.random.default_rng(70 + k), k)
+    models = _count_builds(monkeypatch, "build_model")
+    idents = _count_builds(monkeypatch, "build_identification")
+    build_report(mu, skip_oracle=True)
+    assert (len(models), len(idents)) == (1, 1)
 
 
 @pytest.mark.parametrize("k", [7, 8])

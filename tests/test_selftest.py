@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cauchydual import selftest
+from cauchydual import cdsp, make_measure, selftest
 
 CHECKS = {check.check_id: check for check in selftest._registry()}
 
@@ -83,3 +83,22 @@ def test_failed_rows_show_the_mismatch(ctx, monkeypatch):
             expected = _field(result.line, "expected").split("=", 1)[1]
             assert observed != expected, result.line
     assert "cdsp.s_offdiag" in failed
+
+
+def test_selftest_builds_the_reference_analysis_once(monkeypatch):
+    monkeypatch.delenv("CDSP_QUAD_LEVEL", raising=False)
+    monkeypatch.delenv("CDSP_SELFTEST_PERTURB", raising=False)
+    models, kernel_runs = [], []
+    for module in (selftest, cdsp):
+        monkeypatch.setattr(
+            module, "build_model",
+            lambda m, real=module.build_model: models.append(m) or real(m),
+        )
+    monkeypatch.setattr(
+        selftest, "_kernel_checks",
+        lambda *args, real=selftest._kernel_checks: kernel_runs.append(args) or real(*args),
+    )
+    assert selftest.run_selftest()[1] == 0
+    reference = make_measure([1.0 + 0j, 1j], [1.0, 1.0])
+    assert sum(mu == reference for mu in models) == 1
+    assert len(kernel_runs) == 1
