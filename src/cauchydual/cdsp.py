@@ -14,9 +14,11 @@ Two independent routes:
    absorbs truncation edge effects.  By the local Dirichlet formula the
    section of ``M* M`` is ``I + F F*`` with ``F`` of width k <= 8, and
    the shift's ``I - T* T`` is factored from ``F`` and two edge columns;
-   the dual is one linear solve against that section.  Every defect form
-   comes from one recursion, ``B_n = B_{n-1} - X* B_{n-1} X`` from
-   ``B_0 = I``, carried on low-rank factors ``B_n = W_n H_n W_n*``:
+   the dual ``T (I + F F*)^-1 = T - (T F)(I_k + F* F)^-1 F*`` takes one
+   ``k x k`` solve by the Woodbury identity, and the triangular Gram
+   factor is inverted by 2 x 2 blocks.  Every defect form comes from one
+   recursion, ``B_n = B_{n-1} - X* B_{n-1} X`` from ``B_0 = I``, carried
+   on low-rank factors ``B_n = W_n H_n W_n*``:
    ``B_1 = I - X* X`` of the truncated shift or its dual has rank about
    k + 2 (two directions come from the truncation edge), and each order
    adds one or two.  For the dual a fixed 16-column test matrix captures
@@ -75,6 +77,10 @@ QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
 # residual is at most CERT_REL of the form's Frobenius norm (or 1).
 PROBE_COLS = 16
 CERT_REL = 1e-9
+
+# Diagonal blocks of at most this size are inverted directly; larger
+# triangular factors split at a power-of-two multiple of it.
+_TRI_BLOCK = 32
 
 # Orders accepted by agler_min_eig (and the report's nmax) and by
 # hyperexpansivity_max_eig.
@@ -238,6 +244,15 @@ class TruncationWorkspace:
         ``(W, H)`` with ``I - T* T = W H W*``, the order-1 defect form the
         shift's recursion starts from: ``factor``, or else derived from
         ``T``, so ``dataclasses.replace(w, T=...)`` never reads a stale form.
+    frame : ndarray or None
+        Init-only: the ``N x k`` matrix ``F`` of ``mstar_m = I + F F*``
+        when the caller already has it.
+    frame_factor : ndarray or None
+        ``frame``, from which :func:`cauchy_dual` solves by Woodbury on
+        ``I_k + F* F``.  None (a hand-built workspace, or one from
+        ``dataclasses.replace``, which drops init-only fields) solves
+        against the dense ``mstar_m``, so a replaced section is never
+        read through a stale ``F``.
     norm_T : float
         Spectral norm of the truncated ``T``, recorded as the shift-norm
         bound: ``sqrt(max(1, 1 - lambda_min))`` with ``lambda_min`` the
@@ -252,10 +267,13 @@ class TruncationWorkspace:
     margin: int
     mstar_m: np.ndarray
     factor: InitVar[tuple | None] = None
+    frame: InitVar[np.ndarray | None] = None
     shift_form: tuple = field(init=False)
+    frame_factor: np.ndarray | None = field(init=False)
     norm_T: float = field(init=False)
 
-    def __post_init__(self, factor):
+    def __post_init__(self, factor, frame):
+        object.__setattr__(self, "frame_factor", frame)
         form = _first_form(_dense_first(self.T)) if factor is None else factor
         # ||T||^2 = 1 - min eig(I - T*T), and at least 1: the shift is expansive.
         lowest = np.linalg.eigvalsh(form[1]).min(initial=1.0)
@@ -274,7 +292,10 @@ def build_truncation(mu, n):
     the orthonormal basis at ``zeta_j``.  ``T* T`` differs from it only in
     the last row and column ``d = T* T e - M* M e`` (``e`` the last basis
     vector), so ``I - T* T = -F F* - d e* - e d* + d_{n-1} e e*`` is
-    factored from a QR of the ``k + 2`` columns ``[F, e, d]``.
+    factored from a QR of the ``k + 2`` columns ``[F, e, d]``.  ``F`` goes
+    to the workspace as its ``frame``, for :func:`cauchy_dual`.  ``C^-1``
+    is taken by triangular 2 x 2 blocks (:func:`_upper_inverse`), at about
+    a third of a general inverse's cost.
 
     Parameters
     ----------
@@ -305,7 +326,7 @@ def build_truncation(mu, n):
             f"Gram pivot {zero[0]} of {n} is within 1e-10 * trace "
             f"{np.trace(gram).real:.3e} of 0"
         )
-    c_inv = np.linalg.inv(c)
+    c_inv = _upper_inverse(c)
     vander = np.conj(mu.points)[None, :] ** np.arange(n)[:, None]
     f = c_inv.conj().T @ (vander * np.sqrt(mu.weights))
     # I + F F* made exactly Hermitian.
@@ -329,7 +350,35 @@ def build_truncation(mu, n):
         margin=max(4, n // 8),
         mstar_m=mstar_m,
         factor=_compress(q, r @ core @ r.conj().T),
+        frame=f,
     )
+
+
+def _upper_inverse(c):
+    """Inverse of an upper-triangular ``c`` by 2 x 2 blocks.
+
+    ``[[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]]``, split at
+    the largest power-of-two multiple of ``_TRI_BLOCK`` below the size,
+    down to diagonal blocks of at most ``_TRI_BLOCK`` rows, which
+    ``numpy.linalg.inv`` takes.  Every leading block cut off is
+    ``_TRI_BLOCK * 2**j`` rows whatever the size, so the inverse's leading
+    blocks come out bit for bit the same at every size, as the factor's
+    do.  Du Croz and Higham (IMA J. Numer. Anal. 12, 1992) treat the
+    stability of such block triangular inversion.
+    """
+    n = c.shape[0]
+    if n <= _TRI_BLOCK:
+        return np.linalg.inv(c)
+    s = _TRI_BLOCK
+    while 2 * s < n:
+        s *= 2
+    a_inv = _upper_inverse(c[:s, :s])
+    d_inv = _upper_inverse(c[s:, s:])
+    out = np.zeros_like(a_inv, shape=c.shape)
+    out[:s, :s] = a_inv
+    out[s:, s:] = d_inv
+    out[:s, s:] = -(a_inv @ c[:s, s:]) @ d_inv
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -494,15 +543,26 @@ def two_isometry_defect(w):
 def _gated_dual(w):
     """Cauchy dual and the interior norm its contraction gate read.
 
-    By Sylvester's law of inertia, ``min eig(mstar_m) > 1e-10`` exactly when
-    ``mstar_m - 1e-10 I`` has a Cholesky factor; eigenvalues only name a failure.
+    With the workspace's ``frame_factor`` ``F``, the section
+    ``I + F F*`` has the eigenvalues of ``S = I_k + F* F`` and otherwise 1,
+    so the frame gate reads ``S`` and the dual is
+    ``T - (T F) S^-1 F*`` (Woodbury), at ``O(N^2 k)``.  Without it the
+    gate reads ``mstar_m`` and the dual is one dense solve against it.
+    By Sylvester's law of inertia, ``min eig > 1e-10`` exactly when the
+    section less ``1e-10 I`` has a Cholesky factor; eigenvalues only name
+    a failure.
     """
+    f = w.frame_factor
+    section = w.mstar_m if f is None else np.eye(f.shape[1]) + f.conj().T @ f
     try:
-        np.linalg.cholesky(w.mstar_m - 1e-10 * np.eye(w.N))
+        np.linalg.cholesky(section - 1e-10 * np.eye(section.shape[0]))
     except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(w.mstar_m)
+        eigs = np.linalg.eigvalsh(section)
         raise SingularFrame(f"frame section min eigenvalue {eigs[0]:.3e}") from None
-    dual = np.linalg.solve(w.mstar_m.T, w.T.T).T
+    if f is None:
+        dual = np.linalg.solve(section.T, w.T.T).T
+    else:
+        dual = w.T - (w.T @ f) @ np.linalg.solve(section, f.conj().T)
     keep = w.N - w.margin
     nrm = float(np.linalg.norm(dual[:keep, :keep], 2))
     if nrm > 1.0 + 1e-6:
@@ -517,13 +577,19 @@ def cauchy_dual(w):
     rather than ``T* T`` of the compressed matrix; the compression has a
     dead final column, so its own ``T* T`` is singular by construction
     and would poison the inverse.
-    ``T'`` solves ``T' mstar_m = T``, transposed into one linear solve,
-    so no inverse is formed.
+    On a workspace from :func:`build_truncation`, ``mstar_m = I + F F*``
+    and the Woodbury identity gives ``T' = T - (T F)(I_k + F* F)^-1 F*``,
+    one ``k x k`` solve at ``O(N^2 k)``.  A workspace without that
+    ``F`` (built by hand, or by ``dataclasses.replace``) solves
+    ``T' mstar_m = T`` densely, transposed into one linear solve, so no
+    inverse is formed either way.
 
     The frame gate ``min eig(mstar_m) > 1e-10`` cannot trip on a
     workspace from :func:`build_truncation`, whose ``I + F F*`` has every
-    eigenvalue at least 1; it stays because a :class:`TruncationWorkspace`
-    can be built by hand with any ``mstar_m``.
+    eigenvalue at least 1; it reads ``I_k + F* F`` there, which holds the
+    only eigenvalues other than 1.  It stays because a
+    :class:`TruncationWorkspace` can be built by hand with any
+    ``mstar_m``.
 
     Parameters
     ----------

@@ -99,30 +99,104 @@ def test_cauchy_dual_matches_the_inverse(property_measures, seeded_measure):
         assert np.max(np.abs(cauchy_dual(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_truncation_and_oracle_run_one_inverse_and_one_first_form(monkeypatch, canonical_mu):
-    # One inverse (of the Gram factor) and one dense first form, the
-    # dual's: the shift's form comes from F and two edge columns.
-    invs, forms = [], []
-    inv, first_form = np.linalg.inv, cdsp._first_form
+def test_woodbury_dual_matches_the_dense_inverse(seeded_measure):
+    # The built workspace carries F, so the dual is T - (T F)(I_k + F* F)^-1 F*.
+    rng = np.random.default_rng(99)
+    for size in (48, 96, 384):
+        for k in range(1, 9):
+            w = build_truncation(seeded_measure(rng, k), size)
+            assert w.frame_factor.shape == (size, k)
+            ref = w.T @ np.linalg.inv(w.mstar_m)
+            assert np.max(np.abs(cauchy_dual(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_replaced_workspace_solves_its_own_fields(canonical_mu):
+    # replace() drops the init-only frame, so a replaced T or mstar_m is
+    # solved densely and never read through a stale F.
+    w = build_truncation(canonical_mu, 48)
+    f = w.frame_factor
+    section = np.eye(48) + 2.0 * f @ f.conj().T
+    for spoofed in (
+        dataclasses.replace(w, T=0.5 * w.T),
+        dataclasses.replace(w, mstar_m=section),
+    ):
+        assert spoofed.frame_factor is None
+        ref = spoofed.T @ np.linalg.inv(spoofed.mstar_m)
+        assert np.max(np.abs(cauchy_dual(spoofed) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    stale = w.T @ np.linalg.inv(w.mstar_m)
+    assert np.max(np.abs(cauchy_dual(dataclasses.replace(w, mstar_m=section)) - stale)) > 1e-3
+
+
+def test_truncation_and_oracle_invert_only_diagonal_blocks(monkeypatch, canonical_mu):
+    # The Gram factor is inverted by blocks: every inverse is of a
+    # diagonal block of at most _TRI_BLOCK rows, in order down the
+    # diagonal.  The dual solves only against I_k + F* F, and its first
+    # form is the one dense one: the shift's comes from F and two edge
+    # columns.
+    invs, solves, forms = [], [], []
+    inv, solve, first_form = np.linalg.inv, np.linalg.solve, cdsp._first_form
 
     def counted_inv(a, *args, **kwargs):
-        invs.append(np.shape(a))
+        invs.append(np.array(a))
         return inv(a, *args, **kwargs)
+
+    def counted_solve(a, b, *args, **kwargs):
+        solves.append(np.shape(a))
+        return solve(a, b, *args, **kwargs)
 
     def counted_form(b):
         forms.append(b)
         return first_form(b)
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(cdsp, "_first_form", counted_form)
     w = build_truncation(canonical_mu, 384)
     assert forms == []
     _oracle_run(w, 6)
-    assert invs == [(384, 384)]
+    start = 0
+    for block in invs:
+        size = block.shape[0]
+        assert block.shape == (size, size) and size <= cdsp._TRI_BLOCK
+        assert np.array_equal(block, w.onb_factor[start : start + size, start : start + size])
+        start += size
+    assert start == 384
+    assert solves == [(2, 2)]
     assert [b.shape for b in forms] == [(384, 384)]
     dual = cauchy_dual(w)
     ref = np.eye(384) - dual.conj().T @ dual
     assert np.max(np.abs(forms[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("size", [8, 31, 33, 48, 80, 130, 384])
+def test_upper_inverse_residual_matches_numpy(seeded_measure, size):
+    # ||X c - I||_F of the block inverse is at most twice numpy.linalg.inv's,
+    # on Gram factors and on random triangular matrices, and X is upper
+    # triangular.
+    rng = np.random.default_rng([100, size])
+    factors = [build_truncation(seeded_measure(rng, k), size).onb_factor for k in (1, 2, 5, 8)]
+    for _ in range(4):
+        c = np.triu(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+        c /= np.sqrt(size)
+        c[np.diag_indices(size)] = rng.uniform(1.0, 2.0, size) * np.exp(
+            2j * np.pi * rng.uniform(size=size)
+        )
+        factors.append(c)
+    eye = np.eye(size)
+    for c in factors:
+        x = cdsp._upper_inverse(c)
+        assert np.max(np.abs(np.tril(x, -1))) == 0.0
+        ref = np.linalg.norm(np.linalg.inv(c) @ c - eye)
+        assert np.linalg.norm(x @ c - eye) <= 2.0 * ref
+
+
+def test_upper_inverse_leading_blocks_match_across_sizes(canonical_mu):
+    # The splits sit at power-of-two multiples of _TRI_BLOCK at every size,
+    # so the leading 40 x 40 block of the inverse is the same bits at each.
+    c = build_truncation(canonical_mu, 384).onb_factor
+    lead = cdsp._upper_inverse(c[:40, :40])
+    for size in (64, 100, 200, 384):
+        assert np.array_equal(cdsp._upper_inverse(c[:size, :size])[:40, :40], lead)
 
 
 def test_shift_form_and_frame_section_have_rank_k_structure(seeded_measure):
