@@ -12,21 +12,18 @@ Two independent routes:
    matrix of the shift in the orthonormalized basis, its Cauchy dual, and
    the Agler / hyperexpansivity defect forms on an interior block that
    absorbs truncation edge effects.  By the local Dirichlet formula the
-   section of ``M* M`` is ``I + F F*`` with ``F`` of width k <= 8, and
-   the shift's ``I - T* T`` is factored from ``F`` and two edge columns;
-   the dual ``T (I + F F*)^-1 = T - (T F)(I_k + F* F)^-1 F*`` takes one
+   section of ``M* M`` is ``I + F F*`` with ``F`` of width k <= 8; the
+   dual ``T (I + F F*)^-1 = T - (T F)(I_k + F* F)^-1 F*`` takes one
    ``k x k`` solve by the Woodbury identity, and the triangular Gram
    factor is inverted by 2 x 2 blocks.  Every defect form comes from one
    recursion, ``B_n = B_{n-1} - X* B_{n-1} X`` from ``B_0 = I``, carried
    on low-rank factors ``B_n = W_n H_n W_n*``:
-   ``B_1 = I - X* X`` of the truncated shift or its dual has rank about
-   k + 2 (two directions come from the truncation edge), and each order
-   adds one or two.  For the dual a fixed 16-column test matrix captures
-   the range of ``B_1`` once, behind a residual certificate with an
-   ``eigh`` fallback; every later order is a QR of ``[W, X* W]`` and an
-   eigendecomposition of its small core, at ``O(N^2 r)`` instead of
-   ``O(N^3)``.  A form's interior eigenvalues are those of the core of
-   ``W[:keep]``, joined by 0.
+   ``B_1 = I - X* X`` of the truncated shift or its dual is written down
+   from ``F`` and two edge columns, ``k + 2`` in all (a bare matrix takes
+   ``eigh`` of its whole ``B_1``), and each order adds one or two.  Every
+   later order is a QR of ``[W, X* W]`` and an eigendecomposition of its
+   small core, at ``O(N^2 r)`` instead of ``O(N^3)``.  A form's interior
+   eigenvalues are those of the core of ``W[:keep]``, joined by 0.
 
 Scalars produced by the closed-form route (overlap sum, root products,
 coupling determinant) are those of a canonical rotation frame: atoms sorted
@@ -71,12 +68,6 @@ __all__ = [
 ]
 
 QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
-
-# The range of the dual's order-1 defect form comes from a test matrix with
-# this many columns (twice the grammar's 8 atoms), accepted when the factor's
-# residual is at most CERT_REL of the form's Frobenius norm (or 1).
-PROBE_COLS = 16
-CERT_REL = 1e-9
 
 # Diagonal blocks of at most this size are inverted directly; larger
 # triangular factors split at a power-of-two multiple of it.
@@ -239,20 +230,22 @@ class TruncationWorkspace:
         (see :func:`build_truncation`).
     factor : tuple of ndarray or None
         Init-only: ``(W, H)`` with ``I - T* T = W H W*`` when the caller
-        already has it; None factors the dense ``I - T* T`` of ``T``.
+        already has it; None takes ``eigh`` of the dense ``I - T* T``.
     shift_form : tuple of ndarray
         ``(W, H)`` with ``I - T* T = W H W*``, the order-1 defect form the
         shift's recursion starts from: ``factor``, or else derived from
         ``T``, so ``dataclasses.replace(w, T=...)`` never reads a stale form.
-    frame : ndarray or None
-        Init-only: the ``N x k`` matrix ``F`` of ``mstar_m = I + F F*``
-        when the caller already has it.
+    frame : tuple of ndarray or None
+        Init-only: ``(F, d)`` when the caller already has them, with ``F``
+        the ``N x k`` matrix of ``mstar_m = I + F F*`` and ``d`` the edge
+        column ``T* T e - mstar_m e`` (``e`` the last basis vector).
     frame_factor : ndarray or None
-        ``frame``, from which :func:`cauchy_dual` solves by Woodbury on
-        ``I_k + F* F``.  None (a hand-built workspace, or one from
-        ``dataclasses.replace``, which drops init-only fields) solves
-        against the dense ``mstar_m``, so a replaced section is never
-        read through a stale ``F``.
+        ``F`` of ``frame``, from which :func:`cauchy_dual` solves by
+        Woodbury on ``I_k + F* F`` and writes down the dual's first defect
+        form with ``d``, kept beside it.  None (a hand-built workspace, or
+        one from ``dataclasses.replace``, which drops init-only fields)
+        solves against the dense ``mstar_m``, so a replaced section is
+        never read through a stale ``F`` or ``d``.
     norm_T : float
         Spectral norm of the truncated ``T``, recorded as the shift-norm
         bound: ``sqrt(max(1, 1 - lambda_min))`` with ``lambda_min`` the
@@ -267,14 +260,17 @@ class TruncationWorkspace:
     margin: int
     mstar_m: np.ndarray
     factor: InitVar[tuple | None] = None
-    frame: InitVar[np.ndarray | None] = None
+    frame: InitVar[tuple | None] = None
     shift_form: tuple = field(init=False)
     frame_factor: np.ndarray | None = field(init=False)
     norm_T: float = field(init=False)
+    _edge: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self, factor, frame):
-        object.__setattr__(self, "frame_factor", frame)
-        form = _first_form(_dense_first(self.T)) if factor is None else factor
+        f, d = (None, None) if frame is None else frame
+        object.__setattr__(self, "frame_factor", f)
+        object.__setattr__(self, "_edge", d)
+        form = _first_form(self.T) if factor is None else factor
         # ||T||^2 = 1 - min eig(I - T*T), and at least 1: the shift is expansive.
         lowest = np.linalg.eigvalsh(form[1]).min(initial=1.0)
         object.__setattr__(self, "shift_form", form)
@@ -292,8 +288,9 @@ def build_truncation(mu, n):
     the orthonormal basis at ``zeta_j``.  ``T* T`` differs from it only in
     the last row and column ``d = T* T e - M* M e`` (``e`` the last basis
     vector), so ``I - T* T = -F F* - d e* - e d* + d_{n-1} e e*`` is
-    factored from a QR of the ``k + 2`` columns ``[F, e, d]``.  ``F`` goes
-    to the workspace as its ``frame``, for :func:`cauchy_dual`.  ``C^-1``
+    factored from the ``k + 2`` columns ``[F, e, d]`` (:func:`_edge_form`).
+    ``F`` and ``d`` go to the workspace as its ``frame``, for
+    :func:`cauchy_dual` and the dual's first defect form.  ``C^-1``
     is taken by triangular 2 x 2 blocks (:func:`_upper_inverse`), at about
     a third of a general inverse's cost.
 
@@ -338,9 +335,6 @@ def build_truncation(mu, n):
     d = t.conj().T @ t[:, -1] - mstar_m[:, -1]
     e = np.zeros(n)
     e[-1] = 1.0
-    q, r = np.linalg.qr(np.column_stack((f, e, d)))
-    core = -np.eye(mu.k + 2)
-    core[mu.k :, mu.k :] = [[d[-1].real, -1.0], [-1.0, 0.0]]
     return TruncationWorkspace(
         mu=mu,
         N=n,
@@ -349,8 +343,8 @@ def build_truncation(mu, n):
         T=t,
         margin=max(4, n // 8),
         mstar_m=mstar_m,
-        factor=_compress(q, r @ core @ r.conj().T),
-        frame=f,
+        factor=_edge_form(f, -np.eye(mu.k), e, d, d[-1].real),
+        frame=(f, d),
     )
 
 
@@ -381,26 +375,6 @@ def _upper_inverse(c):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _test_matrix(n):
-    """Fixed ``n x min(PROBE_COLS, n)`` test matrix of the order-1 range
-    finder, read-only, per size.
-
-    Its real and imaginary parts are uniform on ``[-1/2, 1/2)``, drawn by
-    the splitmix64 stream from seed 0: exact integer arithmetic gives the
-    same matrix on every platform, and ``numpy.random`` stays unimported.
-    """
-    p = min(PROBE_COLS, n)
-    z = np.arange(1, 2 * n * p + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    u = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
-    u = u.astype(float).reshape(2, n, p) * 2.0**-53 - 0.5
-    omega = u[0] + 1j * u[1]
-    omega.flags.writeable = False
-    return omega
-
-
 def _compress(q, core):
     """``Q core Q*`` as ``(W, H)`` with ``W`` orthonormal, dropping the
     eigenpairs of ``core`` at the round-off floor.
@@ -418,37 +392,32 @@ def _compress(q, core):
     return q @ v, (h + h.conj().T) / 2
 
 
-def _dense_first(x):
-    """``B_1 = I - X* X``, one product of the matrix passed in, negated in place."""
+def _edge_form(f, core, v, u, corner):
+    """``F core F* - u v* - v u* + corner v v*`` as ``(W, H)``, from a QR
+    of the ``k + 2`` columns ``[F, v, u]`` and the core
+    ``blockdiag(core, [[corner, -1], [-1, 0]])``."""
+    k = f.shape[1]
+    q, r = np.linalg.qr(np.column_stack((f, v, u)))
+    full = np.zeros((k + 2, k + 2), dtype=core.dtype)
+    full[:k, :k] = core
+    full[k:, k:] = [[corner, -1.0], [-1.0, 0.0]]
+    return _compress(q, r @ full @ r.conj().T)
+
+
+def _first_form(x):
+    """``B_1 = I - X* X`` of a bare matrix ``X`` as ``(W, H)``, by ``eigh``
+    of the whole form: exact, at ``O(N^3)``."""
     b = x.conj().T @ x
     np.negative(b, out=b)
     b.flat[:: b.shape[0] + 1] += 1.0
-    return b
-
-
-def _first_form(b):
-    """Factor a dense ``B_1`` as ``(W, H)`` with ``B_1 = W H W*``.
-
-    ``Q``, an orthonormal basis of ``B_1 Omega`` for the fixed test matrix
-    ``Omega``, captures its range when
-    ``||B_1 - Q H Q*||_F <= CERT_REL * max(1, ||B_1||_F)`` with
-    ``H = Q* B_1 Q``; otherwise ``eigh`` of ``B_1`` gives the full factor.
-    """
-    n = b.shape[0]
-    q = np.linalg.qr(b @ _test_matrix(n))[0]
-    h = q.conj().T @ b @ q
-    r = q @ h @ q.conj().T
-    r -= b
-    if np.linalg.norm(r) > CERT_REL * max(1.0, np.linalg.norm(b)):
-        q, h = np.eye(n, dtype=complex), b
-    return _compress(q, h)
+    return _compress(np.eye(b.shape[0]), b)
 
 
 def _defect_factors(x, nmax, first=None):
     """Yield ``(W_n, H_n)`` with ``B_n = W_n H_n W_n*`` for n = 1..nmax.
 
     The walk starts from ``first``, the factor of ``B_1`` when the caller
-    has it, or else from ``B_1 = I - X* X``, one product of ``X``.
+    has it, or else from :func:`_first_form` of ``X``.
 
     ``B_n = sum_j (-1)^j binom(n, j) (X^j)* X^j`` is Agler's identity
     ``B_n = (1 - L)^n I`` with ``L(Y) = X* Y X``, walked as
@@ -458,7 +427,7 @@ def _defect_factors(x, nmax, first=None):
     """
     if nmax < 1:
         return
-    w, h = _first_form(_dense_first(x)) if first is None else first
+    w, h = _first_form(x) if first is None else first
     yield w, h
     x_adj = x.conj().T
     for _ in range(nmax - 1):
@@ -498,13 +467,14 @@ def _extreme(w, h, keep, lowest):
     return float(vals.min() if lowest else vals.max())
 
 
-def _agler_curve(tp, orders, margin):
+def _agler_curve(tp, orders, margin, first=None):
     """``{n: agler_min_eig(tp, n, margin)}`` for each order in ``orders``,
-    all validated before one recursion pass reads them."""
+    all validated before one recursion pass reads them; ``first`` is the
+    factor of ``B_1`` when the caller has it."""
     keeps = {n: _keep(tp.shape[0], n, margin, AGLER_ORDERS, "defect") for n in orders}
     return {
         n: _extreme(w, h, keeps[n], lowest=True)
-        for n, (w, h) in enumerate(_defect_factors(tp, max(keeps, default=0)), 1)
+        for n, (w, h) in enumerate(_defect_factors(tp, max(keeps, default=0), first), 1)
         if n in keeps
     }
 
@@ -541,14 +511,19 @@ def two_isometry_defect(w):
 
 
 def _gated_dual(w):
-    """Cauchy dual and the interior norm its contraction gate read.
+    """Cauchy dual, the interior norm its contraction gate read, and the
+    factor of its first defect form (None without a frame).
 
     With the workspace's ``frame_factor`` ``F``, the section
     ``I + F F*`` has the eigenvalues of ``S = I_k + F* F`` and otherwise 1,
     so the frame gate reads ``S`` and the dual is
-    ``T - (T F) S^-1 F*`` (Woodbury), at ``O(N^2 k)``.  Without it the
-    gate reads ``mstar_m`` and the dual is one dense solve against it.
-    By Sylvester's law of inertia, ``min eig > 1e-10`` exactly when the
+    ``D = T - (T F) Y`` with ``Y = S^-1 F*`` (Woodbury), at ``O(N^2 k)``.
+    With ``S^-1 = I_k - Y F``, the edge column ``d`` and
+    ``u = d - F Y d``, ``v = e - F Y e``, the first form is
+    ``I - D* D = F (I_k - Y F) F* - u v* - v u* + d_{N-1} v v*``, from the
+    same ``k + 2`` columns as the shift's.  Without a frame the gate reads
+    ``mstar_m`` and the dual is one dense solve against it.  By
+    Sylvester's law of inertia, ``min eig > 1e-10`` exactly when the
     section less ``1e-10 I`` has a Cholesky factor; eigenvalues only name
     a failure.
     """
@@ -562,12 +537,18 @@ def _gated_dual(w):
     if f is None:
         dual = np.linalg.solve(section.T, w.T.T).T
     else:
-        dual = w.T - (w.T @ f) @ np.linalg.solve(section, f.conj().T)
+        y = np.linalg.solve(section, f.conj().T)
+        dual = w.T - (w.T @ f) @ y
     keep = w.N - w.margin
     nrm = float(np.linalg.norm(dual[:keep, :keep], 2))
     if nrm > 1.0 + 1e-6:
         raise NonConvergence(f"Cauchy dual interior norm {nrm:.9f} exceeds 1 + 1e-6")
-    return dual, nrm
+    if f is None:
+        return dual, nrm, None
+    d = w._edge
+    v = -(f @ y[:, -1])
+    v[-1] += 1.0
+    return dual, nrm, _edge_form(f, np.eye(f.shape[1]) - y @ f, v, d - f @ (y @ d), d[-1].real)
 
 
 def cauchy_dual(w):
@@ -620,11 +601,13 @@ def agler_min_eig(tp, n, margin):
     ``n``-fold product of the truncated matrix corrupts entries within
     ``n`` of the edge.  The form is ``B_n`` of the defect recursion.
 
-    The form is carried as a low-rank factor ``W H W*`` (the range
-    of ``B_1`` from a certified 16-column test matrix, ``eigh`` of ``B_1``
-    when the certificate fails), and the value is the smallest eigenvalue
-    of the core of ``W[:keep]``, joined by 0 when the block is wider than
-    the factor.  Outside that fallback no ``N x N`` eigendecomposition runs.
+    The form is carried as a low-rank factor ``W H W*``.  A bare matrix
+    has no frame to write ``B_1`` down from, so its factor comes from
+    ``eigh`` of the whole ``B_1``, the one ``N x N`` eigendecomposition;
+    the report's oracle starts instead from the dual's written-down form
+    (:func:`_gated_dual`).  The value is the smallest eigenvalue of the
+    core of ``W[:keep]``, joined by 0 when the block is wider than the
+    factor.
 
     Parameters
     ----------
@@ -670,8 +653,8 @@ def _oracle_run(w, nmax):
     """The report's oracle figures at one size: one recursion pass for
     the dual (orders ``1..nmax``), one for the shift (orders 1..4), and
     the dual's norm as its contraction gate read it."""
-    dual, dual_norm = _gated_dual(w)
-    agler = _agler_curve(dual, range(1, nmax + 1), w.margin)
+    dual, dual_norm, first = _gated_dual(w)
+    agler = _agler_curve(dual, range(1, nmax + 1), w.margin, first)
     defect, hyper = _shift_curve(w, (2, 3, 4))
     return {
         "N": w.N,
@@ -889,12 +872,19 @@ def sweep_angle(theta_grid, weights=(1.0, 1.0), trunc=48):
         Angles in degrees, each in ``(0, 180]``.
     weights : pair of float, optional
     trunc : int, optional
-        Truncation size for the order-2 defect column.
+        Truncation size for the order-2 defect column, at least 8.
 
     Returns
     -------
     list of SweepRow
+
+    Raises
+    ------
+    ValidationError
+        If ``trunc < 8``, before any row runs.
     """
+    if trunc < 8:
+        raise ValidationError(f"sweep truncation size must be at least 8, got {trunc}")
     rows = []
     for theta in theta_grid:
         theta = float(theta)
@@ -905,8 +895,8 @@ def sweep_angle(theta_grid, weights=(1.0, 1.0), trunc=48):
             mu = make_measure([1.0 + 0j, point], list(weights))
             verdict = closed_form_test(mu)
             w = build_truncation(mu, trunc)
-            dual = cauchy_dual(w)
-            agler2 = agler_min_eig(dual, 2, w.margin)
+            dual, _, first = _gated_dual(w)
+            agler2 = _agler_curve(dual, (2,), w.margin, first)[2]
             rows.append(
                 SweepRow(theta_deg=theta, verdict=verdict, min_agler_n2=agler2, error=None)
             )

@@ -21,7 +21,7 @@ from cauchydual import (
     two_isometry_defect,
 )
 from cauchydual import cdsp
-from cauchydual.cdsp import PROBE_COLS, _defect_factors, _extreme, _oracle_run
+from cauchydual.cdsp import _defect_factors, _extreme, _gated_dual, _oracle_run
 
 AGLER_N6_CANONICAL = -1.203254e-02
 
@@ -130,9 +130,9 @@ def test_replaced_workspace_solves_its_own_fields(canonical_mu):
 def test_truncation_and_oracle_invert_only_diagonal_blocks(monkeypatch, canonical_mu):
     # The Gram factor is inverted by blocks: every inverse is of a
     # diagonal block of at most _TRI_BLOCK rows, in order down the
-    # diagonal.  The dual solves only against I_k + F* F, and its first
-    # form is the one dense one: the shift's comes from F and two edge
-    # columns.
+    # diagonal.  The dual solves only against I_k + F* F, and no first
+    # form is dense: the shift's and the dual's both come from F and two
+    # edge columns.
     invs, solves, forms = [], [], []
     inv, solve, first_form = np.linalg.inv, np.linalg.solve, cdsp._first_form
 
@@ -162,10 +162,7 @@ def test_truncation_and_oracle_invert_only_diagonal_blocks(monkeypatch, canonica
         start += size
     assert start == 384
     assert solves == [(2, 2)]
-    assert [b.shape for b in forms] == [(384, 384)]
-    dual = cauchy_dual(w)
-    ref = np.eye(384) - dual.conj().T @ dual
-    assert np.max(np.abs(forms[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert forms == []
 
 
 @pytest.mark.parametrize("size", [8, 31, 33, 48, 80, 130, 384])
@@ -201,16 +198,18 @@ def test_upper_inverse_leading_blocks_match_across_sizes(canonical_mu):
 
 def test_shift_form_and_frame_section_have_rank_k_structure(seeded_measure):
     # M*M = I + F F* with F of width k, and I - T*T adds only the two
-    # edge columns e and d: the factor is at most k + 2 wide.
+    # edge columns e and d: the factor is at most k + 2 wide.  The dual's
+    # I - D*D is written down from F and two moved edge columns u, v.
     rng = np.random.default_rng(98)
     for size in (48, 96, 384):
         for k in range(1, 9):
             w = build_truncation(seeded_measure(rng, k), size)
-            f, h = w.shift_form
-            assert f.shape[1] == h.shape[0] <= k + 2
-            dense = np.eye(size) - w.T.conj().T @ w.T
-            err = np.max(np.abs(f @ h @ f.conj().T - dense))
-            assert err <= 1e-13 * max(1.0, np.max(np.abs(dense)))
+            dual, _, dual_form = _gated_dual(w)
+            for x, (f, h) in ((w.T, w.shift_form), (dual, dual_form)):
+                assert f.shape[1] == h.shape[0] <= k + 2
+                dense = np.eye(size) - x.conj().T @ x
+                err = np.max(np.abs(f @ h @ f.conj().T - dense))
+                assert err <= 1e-13 * max(1.0, np.max(np.abs(dense)))
             ones = np.abs(np.linalg.eigvalsh(w.mstar_m) - 1.0) <= 1e-12
             assert np.count_nonzero(ones) == size - k
 
@@ -399,6 +398,9 @@ def test_defect_recursion_matches_binomial_sum(property_measures):
 
 
 def test_report_oracle_equals_public_functions(property_measures):
+    # The report writes the dual's first form down from the frame, and the
+    # bare-matrix agler_min_eig takes eigh of it: two exact factorizations,
+    # equal within the bound of test_oracle_figures_match_the_dense_recursion.
     for mu in property_measures[1:3]:
         doc = build_report(mu, trunc=48, nmax=6)
         for run in doc["oracle"]["runs"]:
@@ -408,9 +410,10 @@ def test_report_oracle_equals_public_functions(property_measures):
             gate_norm = float(np.linalg.norm(dual[:keep, :keep], 2))
             assert run["cauchy_dual_interior_norm"] == gate_norm
             assert run["two_isometry_defect"] == two_isometry_defect(w)
-            assert run["agler_min_eig"] == {
-                str(n): agler_min_eig(dual, n, w.margin) for n in range(1, 7)
-            }
+            assert list(run["agler_min_eig"]) == [str(n) for n in range(1, 7)]
+            for n in range(1, 7):
+                got, ref = run["agler_min_eig"][str(n)], agler_min_eig(dual, n, w.margin)
+                assert abs(got - ref) <= 1e-10 * (abs(ref) if abs(ref) > 1e-6 else 1.0)
             assert run["hyperexpansivity_max_eig"] == {
                 str(n): hyperexpansivity_max_eig(w, n) for n in (2, 3, 4)
             }
@@ -506,12 +509,12 @@ def test_oracle_figures_match_the_dense_recursion(seeded_measure):
 
 
 def test_extreme_joins_the_zeros_off_the_factor():
-    # A factor of width PROBE_COLS with one-signed h: the zeros of the
-    # block off the factor's range decide the other end.
+    # A factor of width 16 with one-signed h: the zeros of the block off
+    # the factor's range decide the other end.
     rng = np.random.default_rng(92)
-    x = rng.standard_normal((40, PROBE_COLS)) + 1j * rng.standard_normal((40, PROBE_COLS))
+    x = rng.standard_normal((40, 16)) + 1j * rng.standard_normal((40, 16))
     v = np.linalg.qr(x)[0]
-    h = np.diag(rng.uniform(1.0, 2.0, PROBE_COLS))
+    h = np.diag(rng.uniform(1.0, 2.0, 16))
     for sign in (1.0, -1.0):
         exact = np.linalg.eigvalsh(v @ (sign * h) @ v.conj().T)
         assert abs(_extreme(v, sign * h, 40, lowest=True) - exact[0]) <= 1e-12
@@ -519,9 +522,9 @@ def test_extreme_joins_the_zeros_off_the_factor():
         assert _extreme(v, sign * h, 40, lowest=sign > 0) == 0.0
 
 
-def test_first_form_full_rank_falls_back_to_eigh(monkeypatch):
-    # I - X*X of a random X has full rank, so the 16-column range fails
-    # its certificate and eigh of the whole form gives the factor.
+def test_bare_matrix_first_form_is_eigh_of_the_whole_form(monkeypatch):
+    # A bare matrix has no frame, so eigh of its whole I - X*X gives the
+    # factor, here of full rank.
     rng = np.random.default_rng(93)
     x = (rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))) / 8
     shapes = []
@@ -544,9 +547,11 @@ def test_first_form_full_rank_falls_back_to_eigh(monkeypatch):
 
 
 def test_oracle_run_one_svd_and_small_eigensolves(monkeypatch, seeded_measure):
-    # On the benchmark's domain every certificate holds at N=384: the
-    # truncation and its oracle run one 2-norm (the contraction gate's),
-    # and eigh/eigvalsh only see factor cores, never an N x N form.
+    # At N=384 the truncation and its oracle run one 2-norm (the
+    # contraction gate's), and eigh/eigvalsh only see factor cores, never
+    # an N x N form.  A first form is k + 2 wide and each order adds at
+    # most two, so the largest core, the order-6 step's [W_5, X* W_5],
+    # is at most 2 (k + 2 + 2 * 4).
     rng = np.random.default_rng(94)
     measures = [make_measure([1.0 + 0.0j, 1.0j], [1.0, 1.0])]
     measures += [seeded_measure(rng, k) for k in (1, 2, 3)]
@@ -570,7 +575,8 @@ def test_oracle_run_one_svd_and_small_eigensolves(monkeypatch, seeded_measure):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh))
     for mu in measures:
         norms.clear()
+        shapes.clear()
         _oracle_run(build_truncation(mu, 384), 6)
         assert len(norms) == 1
-    assert shapes
-    assert max(max(s) for s in shapes) <= 2 * PROBE_COLS
+        assert shapes
+        assert max(max(s) for s in shapes) <= 2 * (mu.k + 2 + 2 * 4)

@@ -228,6 +228,8 @@ def test_sweep_bad_ranges(capsys):
     assert _run(["sweep", "--angles", "10:20:0"], capsys)[0] == 2
     assert _run(["sweep", "--angles", "10:20"], capsys)[0] == 2
     assert _run(["sweep", "--angles", "a:b:c"], capsys)[0] == 2
+    code, out, err = _run(["sweep", "--angles", "90:90:1", "--trunc", "7"], capsys)
+    assert (code, out) == (2, "") and "at least 8" in err
 
 
 def test_sweep_bad_weights(capsys):
