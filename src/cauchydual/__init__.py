@@ -59,7 +59,6 @@ from .errors import (
     ParseError,
     ResidualTooLarge,
     SchemaViolation,
-    SingularFrame,
     SingularGram,
     ToolkitError,
     ValidationError,
@@ -89,7 +88,6 @@ __all__ = [
     "ResidualTooLarge",
     "SchemaViolation",
     "SchurIdentification",
-    "SingularFrame",
     "SingularGram",
     "SweepRow",
     "ToolkitError",

@@ -11,7 +11,8 @@ Two independent routes:
 2. A truncated-operator oracle: the monomial Gram matrix of D(mu), the
    matrix of the shift in the orthonormalized basis, its Cauchy dual, and
    the Agler / hyperexpansivity defect forms on an interior block that
-   absorbs truncation edge effects.  By the local Dirichlet formula the
+   absorbs truncation edge effects.  A :class:`TruncationWorkspace` is a
+   function of ``(mu, N)`` alone.  By the local Dirichlet formula the
    section of ``M* M`` is ``I + F F*`` with ``F`` of width k <= 8; the
    dual ``T (I + F F*)^-1 = T - (T F)(I_k + F* F)^-1 F*`` takes one
    ``k x k`` solve by the Woodbury identity, and the triangular Gram
@@ -39,14 +40,14 @@ polynomials are ``conj(rho)**(j+1) * p_j(rho z)``.
 from __future__ import annotations
 
 import functools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpoly import _sort_roots, poly_eval
+from .cpoly import _sort_roots, poly_derivative, poly_eval
 from .debranges import build_identification, cholesky_upper
 from .dirichlet import build_model
-from .errors import NonConvergence, SingularFrame, SingularGram, ToolkitError, ValidationError
+from .errors import NonConvergence, SingularGram, ToolkitError, ValidationError
 from .measure import MeasureSpec, make_measure
 
 __all__ = [
@@ -124,11 +125,6 @@ def gram_monomials(mu, n):
     return np.eye(n, dtype=complex) + np.minimum.outer(idx, idx) * band
 
 
-def _derivative(coeffs):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return coeffs[1:] * np.arange(1, coeffs.size)
-
-
 def quadrature_energy(coeffs, mu, level):
     """Dirichlet energy of a polynomial by disk quadrature (test oracle).
 
@@ -185,8 +181,8 @@ def cross_energy(f, g, mu, level):
     """
     if level not in QUAD_LEVELS:
         raise ValidationError(f"quadrature level must be 1, 2, or 3, got {level}")
-    df = _derivative(f)
-    dg = df if g is f else _derivative(g)
+    df = poly_derivative(f)
+    dg = df if g is f else poly_derivative(g)
     if df.size == 0 or dg.size == 0:
         return 0j
     nr, na = QUAD_LEVELS[level]
@@ -208,11 +204,27 @@ def cross_energy(f, g, mu, level):
 class TruncationWorkspace:
     """Finite section of the shift on D(mu) in an orthonormal basis.
 
+    A function of ``(mu, N)`` alone: every other field is computed here,
+    so ``dataclasses.replace(w, T=...)`` raises ``ValueError`` and
+    ``dataclasses.replace(w, N=m)`` builds the workspace at size ``m``.
+
+    With ``C* C = conj(gram)``, column ``m`` of ``C`` holds the coordinates
+    of ``z^m``, so ``T = [C[:, 1:], 0] C^-1`` maps ``z^N`` to 0.  By the
+    local Dirichlet formula ``||z f||^2 = ||f||^2 + sum_j w_j |f(zeta_j)|^2``
+    the section of ``M* M`` is ``I + F F*``, where column ``j`` of the
+    ``N x k`` matrix ``F`` is ``sqrt(w_j)`` times the conjugated values of
+    the orthonormal basis at ``zeta_j``.  ``T* T`` differs from it only in
+    the last row and column ``d = T* T e - M* M e`` (``e`` the last basis
+    vector), so ``I - T* T = -F F* - d e* - e d* + d_{N-1} e e*`` is
+    factored from the ``k + 2`` columns ``[F, e, d]`` (:func:`_edge_form`).
+    ``C^-1`` is taken by triangular 2 x 2 blocks (:func:`_upper_inverse`),
+    at about a third of a general inverse's cost.
+
     Attributes
     ----------
     mu : MeasureSpec
     N : int
-        Truncation size.
+        Truncation size, at least 8.
     gram : ndarray
         ``N x N`` monomial Gram matrix ``G[m, n] = <z^m, z^n>``.
     onb_factor : ndarray
@@ -224,128 +236,92 @@ class TruncationWorkspace:
         (upper Hessenberg).
     margin : int
         Interior margin for edge-effect-free assertions.
-    mstar_m : ndarray
-        Exact ``N x N`` finite section of ``M* M``, exactly Hermitian:
-        ``I + F F*`` with ``F`` of width k, by the local Dirichlet formula
-        (see :func:`build_truncation`).
-    factor : tuple of ndarray or None
-        Init-only: ``(W, H)`` with ``I - T* T = W H W*`` when the caller
-        already has it; None takes ``eigh`` of the dense ``I - T* T``.
+    frame_factor : ndarray
+        ``F``, from which :func:`cauchy_dual` solves by Woodbury on
+        ``I_k + F* F`` and writes down the dual's first defect form with
+        the edge column ``d``, kept beside it.
     shift_form : tuple of ndarray
         ``(W, H)`` with ``I - T* T = W H W*``, the order-1 defect form the
-        shift's recursion starts from: ``factor``, or else derived from
-        ``T``, so ``dataclasses.replace(w, T=...)`` never reads a stale form.
-    frame : tuple of ndarray or None
-        Init-only: ``(F, d)`` when the caller already has them, with ``F``
-        the ``N x k`` matrix of ``mstar_m = I + F F*`` and ``d`` the edge
-        column ``T* T e - mstar_m e`` (``e`` the last basis vector).
-    frame_factor : ndarray or None
-        ``F`` of ``frame``, from which :func:`cauchy_dual` solves by
-        Woodbury on ``I_k + F* F`` and writes down the dual's first defect
-        form with ``d``, kept beside it.  None (a hand-built workspace, or
-        one from ``dataclasses.replace``, which drops init-only fields)
-        solves against the dense ``mstar_m``, so a replaced section is
-        never read through a stale ``F`` or ``d``.
+        shift's recursion starts from.
     norm_T : float
         Spectral norm of the truncated ``T``, recorded as the shift-norm
         bound: ``sqrt(max(1, 1 - lambda_min))`` with ``lambda_min`` the
         smallest eigenvalue of ``H`` in ``shift_form``, so no SVD runs.
-    """
-
-    mu: MeasureSpec
-    N: int
-    gram: np.ndarray
-    onb_factor: np.ndarray
-    T: np.ndarray
-    margin: int
-    mstar_m: np.ndarray
-    factor: InitVar[tuple | None] = None
-    frame: InitVar[tuple | None] = None
-    shift_form: tuple = field(init=False)
-    frame_factor: np.ndarray | None = field(init=False)
-    norm_T: float = field(init=False)
-    _edge: np.ndarray | None = field(init=False, repr=False)
-
-    def __post_init__(self, factor, frame):
-        f, d = (None, None) if frame is None else frame
-        object.__setattr__(self, "frame_factor", f)
-        object.__setattr__(self, "_edge", d)
-        form = _first_form(self.T) if factor is None else factor
-        # ||T||^2 = 1 - min eig(I - T*T), and at least 1: the shift is expansive.
-        lowest = np.linalg.eigvalsh(form[1]).min(initial=1.0)
-        object.__setattr__(self, "shift_form", form)
-        object.__setattr__(self, "norm_T", float(np.sqrt(max(1.0, 1.0 - lowest))))
-
-
-def build_truncation(mu, n):
-    """Build the :class:`TruncationWorkspace` at size ``n``.
-
-    With ``C* C = conj(gram)``, column ``m`` of ``C`` holds the coordinates
-    of ``z^m``, so ``T = [C[:, 1:], 0] C^-1`` maps ``z^n`` to 0.  By the
-    local Dirichlet formula ``||z f||^2 = ||f||^2 + sum_j w_j |f(zeta_j)|^2``
-    the section of ``M* M`` is ``I + F F*``, where column ``j`` of the
-    ``n x k`` matrix ``F`` is ``sqrt(w_j)`` times the conjugated values of
-    the orthonormal basis at ``zeta_j``.  ``T* T`` differs from it only in
-    the last row and column ``d = T* T e - M* M e`` (``e`` the last basis
-    vector), so ``I - T* T = -F F* - d e* - e d* + d_{n-1} e e*`` is
-    factored from the ``k + 2`` columns ``[F, e, d]`` (:func:`_edge_form`).
-    ``F`` and ``d`` go to the workspace as its ``frame``, for
-    :func:`cauchy_dual` and the dual's first defect form.  ``C^-1``
-    is taken by triangular 2 x 2 blocks (:func:`_upper_inverse`), at about
-    a third of a general inverse's cost.
-
-    Parameters
-    ----------
-    mu : MeasureSpec
-    n : int
-        Truncation size, ``n >= 8``.
-
-    Returns
-    -------
-    TruncationWorkspace
 
     Raises
     ------
     ValidationError
-        If ``n < 8``.
+        If ``N < 8``.
     NotPSD
         If the Gram matrix fails the positive-definite factorization.
     SingularGram
         If a pivot of that factorization is within ``1e-10 * trace`` of 0.
     """
-    if n < 8:
-        raise ValidationError("truncation size must be at least 8")
-    gram = gram_monomials(mu, n)
-    c = cholesky_upper(np.conj(gram))
-    zero = np.flatnonzero(np.diag(c) == 0.0)
-    if zero.size:
-        raise SingularGram(
-            f"Gram pivot {zero[0]} of {n} is within 1e-10 * trace "
-            f"{np.trace(gram).real:.3e} of 0"
-        )
-    c_inv = _upper_inverse(c)
-    vander = np.conj(mu.points)[None, :] ** np.arange(n)[:, None]
-    f = c_inv.conj().T @ (vander * np.sqrt(mu.weights))
-    # I + F F* made exactly Hermitian.
-    mstar_m = f @ f.conj().T
-    mstar_m += mstar_m.conj().T
-    mstar_m *= 0.5
-    mstar_m.flat[:: n + 1] += 1.0
-    t = np.hstack((c[:, 1:], np.zeros((n, 1)))) @ c_inv
-    d = t.conj().T @ t[:, -1] - mstar_m[:, -1]
-    e = np.zeros(n)
-    e[-1] = 1.0
-    return TruncationWorkspace(
-        mu=mu,
-        N=n,
-        gram=gram,
-        onb_factor=c,
-        T=t,
-        margin=max(4, n // 8),
-        mstar_m=mstar_m,
-        factor=_edge_form(f, -np.eye(mu.k), e, d, d[-1].real),
-        frame=(f, d),
-    )
+
+    mu: MeasureSpec
+    N: int
+    gram: np.ndarray = field(init=False)
+    onb_factor: np.ndarray = field(init=False)
+    T: np.ndarray = field(init=False)
+    margin: int = field(init=False)
+    frame_factor: np.ndarray = field(init=False)
+    shift_form: tuple = field(init=False)
+    norm_T: float = field(init=False)
+    _edge: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mu, n = self.mu, self.N
+        _check_size(n)
+        gram = gram_monomials(mu, n)
+        c = cholesky_upper(np.conj(gram))
+        zero = np.flatnonzero(np.diag(c) == 0.0)
+        if zero.size:
+            raise SingularGram(
+                f"Gram pivot {zero[0]} of {n} is within 1e-10 * trace "
+                f"{np.trace(gram).real:.3e} of 0"
+            )
+        c_inv = _upper_inverse(c)
+        vander = np.conj(mu.points)[None, :] ** np.arange(n)[:, None]
+        f = c_inv.conj().T @ (vander * np.sqrt(mu.weights))
+        t = np.hstack((c[:, 1:], np.zeros((n, 1)))) @ c_inv
+        # The last column of I + F F*, then d = T* T e - M* M e.
+        col = f @ np.conj(f[-1])
+        col[-1] += 1.0
+        d = t.conj().T @ t[:, -1] - col
+        e = np.zeros(n)
+        e[-1] = 1.0
+        form = _edge_form(f, -np.eye(mu.k), e, d, d[-1].real)
+        # ||T||^2 = 1 - min eig(I - T*T), and at least 1: the shift is expansive.
+        lowest = np.linalg.eigvalsh(form[1]).min(initial=1.0)
+        values = {
+            "gram": gram,
+            "onb_factor": c,
+            "T": t,
+            "margin": max(4, n // 8),
+            "frame_factor": f,
+            "shift_form": form,
+            "norm_T": float(np.sqrt(max(1.0, 1.0 - lowest))),
+            "_edge": d,
+        }
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def mstar_m(self):
+        """Exact ``N x N`` finite section ``I + F F*`` of ``M* M``, exactly
+        Hermitian, formed on each read."""
+        f = self.frame_factor
+        section = f @ f.conj().T
+        section += section.conj().T
+        section *= 0.5
+        section.flat[:: self.N + 1] += 1.0
+        return section
+
+
+def build_truncation(mu, n):
+    """The :class:`TruncationWorkspace` of ``mu`` at size ``n >= 8``; it
+    raises as the workspace does."""
+    return TruncationWorkspace(mu, n)
 
 
 def _upper_inverse(c):
@@ -437,6 +413,12 @@ def _defect_factors(x, nmax, first=None):
         yield w, h
 
 
+def _check_size(n):
+    """Raise :class:`ValidationError` unless the truncation size ``n`` is at least 8."""
+    if n < 8:
+        raise ValidationError(f"truncation size must be at least 8, got {n}")
+
+
 def _check_order(n, orders, kind):
     """Raise :class:`ValidationError` unless the order ``n`` is in ``orders``."""
     if n not in orders:
@@ -448,7 +430,10 @@ def _keep(size, n, margin, orders, kind):
     _check_order(n, orders, kind)
     keep = size - margin - n
     if keep < 2:
-        raise ValidationError("truncation too small for the requested order")
+        raise ValidationError(
+            f"truncation size {size} with margin {margin} leaves {keep} interior "
+            f"rows for order {n}, fewer than 2"
+        )
     return keep
 
 
@@ -512,65 +497,38 @@ def two_isometry_defect(w):
 
 def _gated_dual(w):
     """Cauchy dual, the interior norm its contraction gate read, and the
-    factor of its first defect form (None without a frame).
+    factor of its first defect form.
 
-    With the workspace's ``frame_factor`` ``F``, the section
-    ``I + F F*`` has the eigenvalues of ``S = I_k + F* F`` and otherwise 1,
-    so the frame gate reads ``S`` and the dual is
-    ``D = T - (T F) Y`` with ``Y = S^-1 F*`` (Woodbury), at ``O(N^2 k)``.
-    With ``S^-1 = I_k - Y F``, the edge column ``d`` and
-    ``u = d - F Y d``, ``v = e - F Y e``, the first form is
-    ``I - D* D = F (I_k - Y F) F* - u v* - v u* + d_{N-1} v v*``, from the
-    same ``k + 2`` columns as the shift's.  Without a frame the gate reads
-    ``mstar_m`` and the dual is one dense solve against it.  By
-    Sylvester's law of inertia, ``min eig > 1e-10`` exactly when the
-    section less ``1e-10 I`` has a Cholesky factor; eigenvalues only name
-    a failure.
+    With the workspace's ``frame_factor`` ``F`` the dual is
+    ``D = T - (T F) Y`` with ``Y = S^-1 F*`` and ``S = I_k + F* F``
+    (Woodbury), at ``O(N^2 k)``.  With ``S^-1 = I_k - Y F``, the edge
+    column ``d`` and ``u = d - F Y d``, ``v = e - F Y e``, the first form
+    is ``I - D* D = F (I_k - Y F) F* - u v* - v u* + d_{N-1} v v*``, from
+    the same ``k + 2`` columns as the shift's.
     """
-    f = w.frame_factor
-    section = w.mstar_m if f is None else np.eye(f.shape[1]) + f.conj().T @ f
-    try:
-        np.linalg.cholesky(section - 1e-10 * np.eye(section.shape[0]))
-    except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(section)
-        raise SingularFrame(f"frame section min eigenvalue {eigs[0]:.3e}") from None
-    if f is None:
-        dual = np.linalg.solve(section.T, w.T.T).T
-    else:
-        y = np.linalg.solve(section, f.conj().T)
-        dual = w.T - (w.T @ f) @ y
+    f, d = w.frame_factor, w._edge
+    eye = np.eye(f.shape[1])
+    y = np.linalg.solve(eye + f.conj().T @ f, f.conj().T)
+    dual = w.T - (w.T @ f) @ y
     keep = w.N - w.margin
     nrm = float(np.linalg.norm(dual[:keep, :keep], 2))
     if nrm > 1.0 + 1e-6:
         raise NonConvergence(f"Cauchy dual interior norm {nrm:.9f} exceeds 1 + 1e-6")
-    if f is None:
-        return dual, nrm, None
-    d = w._edge
     v = -(f @ y[:, -1])
     v[-1] += 1.0
-    return dual, nrm, _edge_form(f, np.eye(f.shape[1]) - y @ f, v, d - f @ (y @ d), d[-1].real)
+    return dual, nrm, _edge_form(f, eye - y @ f, v, d - f @ (y @ d), d[-1].real)
 
 
 def cauchy_dual(w):
     """Cauchy dual ``T' = T (M*M)^{-1}`` on the truncation.
 
-    Uses the exact finite section ``mstar_m`` of the frame operator
+    Uses the exact finite section ``I + F F*`` of the frame operator
     rather than ``T* T`` of the compressed matrix; the compression has a
     dead final column, so its own ``T* T`` is singular by construction
-    and would poison the inverse.
-    On a workspace from :func:`build_truncation`, ``mstar_m = I + F F*``
-    and the Woodbury identity gives ``T' = T - (T F)(I_k + F* F)^-1 F*``,
-    one ``k x k`` solve at ``O(N^2 k)``.  A workspace without that
-    ``F`` (built by hand, or by ``dataclasses.replace``) solves
-    ``T' mstar_m = T`` densely, transposed into one linear solve, so no
-    inverse is formed either way.
-
-    The frame gate ``min eig(mstar_m) > 1e-10`` cannot trip on a
-    workspace from :func:`build_truncation`, whose ``I + F F*`` has every
-    eigenvalue at least 1; it reads ``I_k + F* F`` there, which holds the
-    only eigenvalues other than 1.  It stays because a
-    :class:`TruncationWorkspace` can be built by hand with any
-    ``mstar_m``.
+    and would poison the inverse.  The Woodbury identity gives
+    ``T' = T - (T F)(I_k + F* F)^-1 F*``, one ``k x k`` solve at
+    ``O(N^2 k)``; ``I_k + F* F`` has every eigenvalue at least 1, so the
+    solve is always well posed.
 
     Parameters
     ----------
@@ -583,8 +541,6 @@ def cauchy_dual(w):
 
     Raises
     ------
-    SingularFrame
-        If the frame section is numerically singular.
     NonConvergence
         If the interior operator norm exceeds the contraction gate
         ``1 + 1e-6`` (the Cauchy dual of a 2-isometry is a contraction).
@@ -883,8 +839,7 @@ def sweep_angle(theta_grid, weights=(1.0, 1.0), trunc=48):
     ValidationError
         If ``trunc < 8``, before any row runs.
     """
-    if trunc < 8:
-        raise ValidationError(f"sweep truncation size must be at least 8, got {trunc}")
+    _check_size(trunc)
     rows = []
     for theta in theta_grid:
         theta = float(theta)

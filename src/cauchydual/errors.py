@@ -16,7 +16,6 @@ __all__ = [
     "SingularGram",
     "NotPSD",
     "ResidualTooLarge",
-    "SingularFrame",
     "SchemaViolation",
 ]
 
@@ -51,10 +50,6 @@ class NotPSD(ToolkitError):
 
 class ResidualTooLarge(ToolkitError):
     """A computed object failed its independent reconstruction check."""
-
-
-class SingularFrame(ToolkitError):
-    """The truncated frame operator is singular; the Cauchy dual is undefined."""
 
 
 class SchemaViolation(ToolkitError):

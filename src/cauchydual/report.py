@@ -20,6 +20,7 @@ from .cdsp import (
     AGLER_ORDERS,
     _canonical_values,
     _check_order,
+    _check_size,
     _closed_form,
     _coupling,
     _oracle_run,
@@ -314,9 +315,11 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
     Raises
     ------
     ValidationError
-        If ``nmax`` lies outside ``1..10``, with or without the oracle.
+        If ``nmax`` lies outside ``1..10`` or ``trunc`` is below 8, with or
+        without the oracle.
     """
     _check_order(nmax, AGLER_ORDERS, "defect")
+    _check_size(trunc)
     model = build_model(mu)
     ident = build_identification(model)
     # The verdict and the coupling read their canonical-frame values off

@@ -308,3 +308,10 @@ def test_analyze_nmax_outside_range_exits_2(capsys, nmax):
     assert code == 2
     assert out == ""
     assert "error: defect order must be in 1..10" in err
+
+
+@pytest.mark.parametrize("skip", [[], ["--skip-oracle"]])
+def test_analyze_trunc_below_8_exits_2(capsys, skip):
+    code, out, err = _run(["analyze", "--measure", "1;i", "--trunc", "7", *skip], capsys)
+    assert (code, out) == (2, "")
+    assert "error: truncation size must be at least 8, got 7" in err

@@ -438,3 +438,9 @@ def test_validate_returns_the_checked_text(canonical_mu):
 def test_report_rejects_nmax_outside_range(canonical_mu, nmax, skip):
     with pytest.raises(ValidationError, match=r"defect order must be in 1\.\.10"):
         build_report(canonical_mu, nmax=nmax, skip_oracle=skip)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_report_rejects_trunc_below_8(canonical_mu, skip):
+    with pytest.raises(ValidationError, match=r"^truncation size must be at least 8, got 7$"):
+        build_report(canonical_mu, trunc=7, skip_oracle=skip)
