@@ -208,7 +208,8 @@ class TruncationWorkspace:
     so ``dataclasses.replace(w, T=...)`` raises ``ValueError`` and
     ``dataclasses.replace(w, N=m)`` builds the workspace at size ``m``.
 
-    With ``C* C = conj(gram)``, column ``m`` of ``C`` holds the coordinates
+    With ``C* C = conj(G)``, ``G[m, n] = <z^m, z^n>`` the monomial Gram
+    matrix, column ``m`` of the upper-triangular ``C`` holds the coordinates
     of ``z^m``, so ``T = [C[:, 1:], 0] C^-1`` maps ``z^N`` to 0.  By the
     local Dirichlet formula ``||z f||^2 = ||f||^2 + sum_j w_j |f(zeta_j)|^2``
     the section of ``M* M`` is ``I + F F*``, where column ``j`` of the
@@ -225,12 +226,6 @@ class TruncationWorkspace:
     mu : MeasureSpec
     N : int
         Truncation size, at least 8.
-    gram : ndarray
-        ``N x N`` monomial Gram matrix ``G[m, n] = <z^m, z^n>``.
-    onb_factor : ndarray
-        Upper-triangular ``C`` with ``C* C = conj(gram)``; the conjugate
-        appears because the norm of a coefficient vector ``a`` pairs as
-        ``sum a_m conj(a_n) G[m, n]``, a quadratic form in ``transpose(G)``.
     T : ndarray
         Matrix of multiplication by ``z`` in the orthonormalized basis
         (upper Hessenberg).
@@ -260,8 +255,6 @@ class TruncationWorkspace:
 
     mu: MeasureSpec
     N: int
-    gram: np.ndarray = field(init=False)
-    onb_factor: np.ndarray = field(init=False)
     T: np.ndarray = field(init=False)
     margin: int = field(init=False)
     frame_factor: np.ndarray = field(init=False)
@@ -273,12 +266,14 @@ class TruncationWorkspace:
         mu, n = self.mu, self.N
         _check_size(n)
         gram = gram_monomials(mu, n)
+        trace = np.trace(gram).real
         c = cholesky_upper(np.conj(gram))
+        del gram
         zero = np.flatnonzero(np.diag(c) == 0.0)
         if zero.size:
             raise SingularGram(
                 f"Gram pivot {zero[0]} of {n} is within 1e-10 * trace "
-                f"{np.trace(gram).real:.3e} of 0"
+                f"{trace:.3e} of 0"
             )
         c_inv = _upper_inverse(c)
         vander = np.conj(mu.points)[None, :] ** np.arange(n)[:, None]
@@ -294,8 +289,6 @@ class TruncationWorkspace:
         # ||T||^2 = 1 - min eig(I - T*T), and at least 1: the shift is expansive.
         lowest = np.linalg.eigvalsh(form[1]).min(initial=1.0)
         values = {
-            "gram": gram,
-            "onb_factor": c,
             "T": t,
             "margin": max(4, n // 8),
             "frame_factor": f,

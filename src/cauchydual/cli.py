@@ -13,6 +13,7 @@ byte-identical on standard out.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 import time
@@ -105,6 +106,8 @@ def _parse_angles(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"invalid angle range {text!r}: {exc}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError(f"angle range {text!r} must be finite")
     if step <= 0.0:
         raise ValidationError("angle step must be positive")
     if stop < start:
@@ -121,8 +124,8 @@ def _parse_weights(text):
         w1, w2 = (float(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"invalid weights {text!r}: {exc}") from None
-    if w1 <= 0.0 or w2 <= 0.0:
-        raise ValidationError("weights must be positive")
+    if not all(0.0 < w < math.inf for w in (w1, w2)):
+        raise ValidationError(f"weights {text!r} must be positive and finite")
     return (w1, w2)
 
 

@@ -13,7 +13,6 @@ Usage: ``python -m cauchydual.doccheck [docs_dir]``.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import re
 import shlex
@@ -101,8 +100,7 @@ def check_docs(docs_dir):
                 continue
             count += 1
             argv = [sys.executable, "-m", "cauchydual"] + tokens[1:]
-            env = {k: v for k, v in os.environ.items() if not k.startswith("CDSP_")}
-            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            proc = subprocess.run(argv, capture_output=True, text=True)
             got = _strip_tail(proc.stdout.splitlines())
             want = _strip_tail(expected)
             if proc.returncode != expected_exit:

@@ -7,20 +7,11 @@ Each number is printed only to the digits its own check pins (see
 :func:`_resolution`), so round-off never reaches the table and the
 transcript in ``docs/reproduction.md`` replays byte for byte on any
 machine.  A printed ``0`` means "below the row's resolution".
-
-Environment hooks:
-
-``CDSP_QUAD_LEVEL``
-    Quadrature level (1, 2, or 3) for the energy spot check.
-``CDSP_SELFTEST_PERTURB``
-    Check id whose observed value is deliberately perturbed, to exercise
-    the failure path end to end.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +27,6 @@ from .cdsp import (
 from .cpoly import find_roots, poly_eval
 from .debranges import build_identification, kernel_hb
 from .dirichlet import build_model, kernel_full, o_mu_eval
-from .errors import ValidationError
 from .measure import make_measure
 
 __all__ = ["Check", "CheckResult", "run_selftest", "list_checks"]
@@ -84,7 +74,7 @@ _ROOTPROD_1 = 0.967575626606951 - 5.37631791548865j
 _ROOTPROD_2 = 0.967575626606951 + 5.37631791548865j
 _COUPLING_DET = -0.13348007677575036
 
-_QUAD_SPOT_TOL = {1: 2e-2, 2: 5e-3, 3: 1e-3}
+_QUAD_SPOT_TOL = 2e-2
 
 
 @dataclass(frozen=True)
@@ -203,7 +193,7 @@ def _kernel_checks(model, ident):
     return norm_err, eq_err
 
 
-def _quadrature_spot(mu, level):
+def _quadrature_spot(mu):
     gram = gram_monomials(mu, 4)
     err = 0.0
     for m, n in ((1, 1), (2, 1), (3, 3)):
@@ -212,7 +202,7 @@ def _quadrature_spot(mu, level):
         g = np.zeros(m + 1, dtype=complex)
         g[m] = 1.0
         exact = gram[n, m] - (1.0 if m == n else 0.0)
-        err = max(err, abs(cross_energy(f, g, mu, level) - exact))
+        err = max(err, abs(cross_energy(f, g, mu, 1) - exact))
     return err
 
 
@@ -330,30 +320,17 @@ def _registry():
         lambda ctx: (ctx["kernel"][1], 0.0, 1e-8),
     )
 
-    def quad_spot(ctx):
-        level = int(os.environ.get("CDSP_QUAD_LEVEL", "1"))
-        if level not in _QUAD_SPOT_TOL:
-            raise ValidationError(f"CDSP_QUAD_LEVEL must be 1, 2, or 3, got {level}")
-        return _quadrature_spot(ctx["mu"], level), 0.0, _QUAD_SPOT_TOL[level]
-
-    add("gram.quadrature", "upper", quad_spot)
+    add(
+        "gram.quadrature",
+        "upper",
+        lambda ctx: (_quadrature_spot(ctx["mu"]), 0.0, _QUAD_SPOT_TOL),
+    )
     return checks
 
 
 def list_checks():
     """Return the registered check ids in run order."""
     return [c.check_id for c in _registry()]
-
-
-def _evaluate(check, ctx, perturb):
-    observed, expected, tol = check.fn(ctx)
-    if perturb == check.check_id:
-        if isinstance(observed, str):
-            observed = observed + "X"
-        else:
-            ref = abs(complex(expected)) if expected is not None else 0.0
-            observed = complex(observed) + 1e-3 * (1.0 + ref)
-    return _render(check, observed, expected, tol)
 
 
 def _render(check, observed, expected, tol):
@@ -387,8 +364,7 @@ def run_selftest():
     (list of CheckResult, int)
         Results in registry order and the number of failures.
     """
-    perturb = os.environ.get("CDSP_SELFTEST_PERTURB")
     ctx = _context()
-    results = [_evaluate(check, ctx, perturb) for check in _registry()]
+    results = [_render(check, *check.fn(ctx)) for check in _registry()]
     failures = sum(1 for r in results if r.status == "FAIL")
     return results, failures

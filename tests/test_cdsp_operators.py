@@ -21,6 +21,7 @@ from cauchydual import (
 )
 from cauchydual import cdsp
 from cauchydual.cdsp import _defect_factors, _extreme, _gated_dual, _oracle_run
+from cauchydual.debranges import cholesky_upper
 
 AGLER_N6_CANONICAL = -1.203254e-02
 
@@ -51,12 +52,18 @@ def test_shift_is_expansive_on_columns(canonical_mu):
     assert np.min(norms[: w.N - w.margin]) >= 1.0 - 1e-12
 
 
-def test_onb_factor_reproduces_gram(property_measures):
+def _onb_factor(mu, n):
+    """The upper-triangular ``C`` with ``C* C = conj(gram)`` that the
+    workspace factors and drops: the same deterministic call, same bits."""
+    return cholesky_upper(np.conj(gram_monomials(mu, n)))
+
+
+def test_gram_factor_is_upper_triangular_and_reproduces_gram(property_measures):
     for mu in property_measures:
-        w = build_truncation(mu, 16)
-        c = w.onb_factor
+        gram = gram_monomials(mu, 16)
+        c = _onb_factor(mu, 16)
         assert np.max(np.abs(np.tril(c, -1))) == 0.0
-        err = np.max(np.abs(c.conj().T @ c - np.conj(w.gram)))
+        err = np.max(np.abs(c.conj().T @ c - np.conj(gram)))
         assert err <= 1e-10
 
 
@@ -80,7 +87,7 @@ def test_frame_section_matches_the_two_product_reference(seeded_measure):
     for size in (48, 96, 384):
         for k in range(1, 9):
             w = build_truncation(seeded_measure(rng, k), size)
-            c_inv = np.linalg.inv(w.onb_factor)
+            c_inv = np.linalg.inv(_onb_factor(w.mu, size))
             shifted = np.conj(gram_monomials(w.mu, size + 1)[1:, 1:])
             ref = c_inv.conj().T @ shifted @ c_inv
             m = w.mstar_m
@@ -120,6 +127,18 @@ def test_replace_rebuilds_from_mu_and_size_only(canonical_mu):
     assert np.array_equal(resized.T, build_truncation(canonical_mu, 96).T)
 
 
+def test_T_is_the_only_full_size_field(canonical_mu):
+    # Neither the Gram matrix nor its factor outlives construction.
+    w = build_truncation(canonical_mu, 48)
+    full = []
+    for f in dataclasses.fields(w):
+        value = getattr(w, f.name)
+        parts = value if isinstance(value, tuple) else (value,)
+        if any(np.shape(part) == (48, 48) for part in parts):
+            full.append(f.name)
+    assert full == ["T"]
+
+
 def test_truncation_and_oracle_invert_only_diagonal_blocks(monkeypatch, canonical_mu):
     # The Gram factor is inverted by blocks: every inverse is of a
     # diagonal block of at most _TRI_BLOCK rows, in order down the
@@ -147,11 +166,12 @@ def test_truncation_and_oracle_invert_only_diagonal_blocks(monkeypatch, canonica
     w = build_truncation(canonical_mu, 384)
     assert forms == []
     _oracle_run(w, 6)
+    c = _onb_factor(canonical_mu, 384)
     start = 0
     for block in invs:
         size = block.shape[0]
         assert block.shape == (size, size) and size <= cdsp._TRI_BLOCK
-        assert np.array_equal(block, w.onb_factor[start : start + size, start : start + size])
+        assert np.array_equal(block, c[start : start + size, start : start + size])
         start += size
     assert start == 384
     assert solves == [(2, 2)]
@@ -164,7 +184,7 @@ def test_upper_inverse_residual_matches_numpy(seeded_measure, size):
     # on Gram factors and on random triangular matrices, and X is upper
     # triangular.
     rng = np.random.default_rng([100, size])
-    factors = [build_truncation(seeded_measure(rng, k), size).onb_factor for k in (1, 2, 5, 8)]
+    factors = [_onb_factor(seeded_measure(rng, k), size) for k in (1, 2, 5, 8)]
     for _ in range(4):
         c = np.triu(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
         c /= np.sqrt(size)
@@ -183,7 +203,7 @@ def test_upper_inverse_residual_matches_numpy(seeded_measure, size):
 def test_upper_inverse_leading_blocks_match_across_sizes(canonical_mu):
     # The splits sit at power-of-two multiples of _TRI_BLOCK at every size,
     # so the leading 40 x 40 block of the inverse is the same bits at each.
-    c = build_truncation(canonical_mu, 384).onb_factor
+    c = _onb_factor(canonical_mu, 384)
     lead = cdsp._upper_inverse(c[:40, :40])
     for size in (64, 100, 200, 384):
         assert np.array_equal(cdsp._upper_inverse(c[:size, :size])[:40, :40], lead)

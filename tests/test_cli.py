@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cauchydual import ParseError
+from cauchydual import ParseError, selftest
 from cauchydual.cli import main, parse_complex
 from cauchydual.selftest import list_checks
 
@@ -230,12 +230,18 @@ def test_sweep_bad_ranges(capsys):
     assert _run(["sweep", "--angles", "a:b:c"], capsys)[0] == 2
     code, out, err = _run(["sweep", "--angles", "90:90:1", "--trunc", "7"], capsys)
     assert (code, out) == (2, "") and "at least 8" in err
+    for angles in ("0:nan:1", "0:inf:1", "0:10:inf"):
+        code, out, err = _run(["sweep", "--angles", angles], capsys)
+        assert (code, out) == (2, "") and f"angle range {angles!r} must be finite" in err
 
 
 def test_sweep_bad_weights(capsys):
     assert _run(["sweep", "--angles", "90:90:1", "--weights", "1,0"], capsys)[0] == 2
     assert _run(["sweep", "--angles", "90:90:1", "--weights", "x,y"], capsys)[0] == 2
     assert _run(["sweep", "--angles", "90:90:1", "--weights", "1"], capsys)[0] == 2
+    for weights in ("nan,1", "inf,1"):
+        code, out, err = _run(["sweep", "--angles", "90:90:1", "--weights", weights], capsys)
+        assert (code, out) == (2, "") and f"weights {weights!r} must be positive and finite" in err
 
 
 def test_selftest_list(capsys):
@@ -250,21 +256,35 @@ def test_selftest_passes(capsys):
     lines = out.splitlines()
     assert lines[-1] == "selftest: 36 checks, 0 failed"
     assert all(
-        line.startswith(("PASS ", "INFO ", "selftest:")) for line in lines
+        line.startswith(("PASS ", "selftest:")) for line in lines
     )
 
 
-def test_selftest_perturb_exit_code():
-    env = dict(os.environ)
-    env["CDSP_SELFTEST_PERTURB"] = "cdsp.s_offdiag"
-    proc = subprocess.run(
-        [sys.executable, "-m", "cauchydual", "selftest"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 1
-    assert "FAIL" in proc.stdout
+def test_selftest_perturb_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "_S_OFFDIAG", selftest._S_OFFDIAG * (1 + 1e-3))
+    code, out, _ = _run(["selftest"], capsys)
+    assert code == 1
+    assert any(line.startswith("FAIL cdsp.s_offdiag ") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv", [["selftest"], ["analyze", "--measure", "1;i"]], ids=["selftest", "analyze"]
+)
+def test_cdsp_environment_is_ignored(argv):
+    # The former knobs CDSP_QUAD_LEVEL and CDSP_SELFTEST_PERTURB change nothing.
+    def run(env):
+        return subprocess.run(
+            [sys.executable, "-m", "cauchydual", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+
+    clean = {k: v for k, v in os.environ.items() if not k.startswith("CDSP_")}
+    knobs = dict(clean, CDSP_QUAD_LEVEL="7", CDSP_SELFTEST_PERTURB="cdsp.s_offdiag")
+    plain, knobbed = run(clean), run(knobs)
+    assert (plain.returncode, knobbed.returncode) == (0, 0)
+    assert knobbed.stdout == plain.stdout
 
 
 def test_unknown_subcommand_exits_2():
