@@ -28,6 +28,9 @@ from .selftest import list_checks, run_selftest
 
 __all__ = ["main", "parse_complex"]
 
+# Most rows one sweep may request; 0.1 degree steps over 180 degrees make 1801.
+MAX_SWEEP_ROWS = 10_000
+
 _RE_FULL = re.compile(rf"^([+-]?{_FLOAT})([+-]{_FLOAT})i$")
 _RE_IMAG = re.compile(rf"^([+-]?{_FLOAT})i$")
 
@@ -112,8 +115,13 @@ def _parse_angles(text):
         raise ValidationError("angle step must be positive")
     if stop < start:
         raise ValidationError("angle stop must not precede start")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [start + j * step for j in range(count)]
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_SWEEP_ROWS:
+        rows = int(span) + 1 if math.isfinite(span) else span
+        raise ValidationError(
+            f"angle range {text!r} would make {rows} rows, more than {MAX_SWEEP_ROWS}"
+        )
+    return [start + j * step for j in range(int(span) + 1)]
 
 
 def _parse_weights(text):

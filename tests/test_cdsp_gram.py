@@ -1,5 +1,7 @@
 """Monomial Gram matrix against the quadrature energy oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from cauchydual import (
     ValidationError,
     cross_energy,
     gram_monomials,
+    make_measure,
     moment,
     quadrature_energy,
 )
-from cauchydual.cdsp import _radial_nodes
+from cauchydual.cdsp import QUAD_LEVELS, _radial_nodes, _warp_grid
+from cauchydual.cpoly import poly_derivative
 
 
 def _basis(n):
@@ -124,9 +128,71 @@ def test_cross_energy_reuses_radial_nodes(monkeypatch, canonical_mu):
         raise AssertionError("leggauss called on a warm cache")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", rebuilt)
+    builds = _warp_grid.cache_info().misses
     assert cross_energy(_basis(3), _basis(2), canonical_mu, 1) == first
+    assert _warp_grid.cache_info().misses == builds
     r, wr = _radial_nodes(64)
     assert not r.flags.writeable and not wr.flags.writeable
+    # The warp grid is one read-only nr x na object per level.
+    eitau = _warp_grid(1)
+    assert eitau is _warp_grid(1) and not eitau.flags.writeable
+    assert eitau.shape == QUAD_LEVELS[1]
+
+
+def _reference_cross_energy(f, g, mu, level):
+    # The one-pass full-grid body that the radial blocks replaced, kept
+    # verbatim: its values are the ones cross_energy must reproduce.
+    df = poly_derivative(f)
+    dg = df if g is f else poly_derivative(g)
+    if df.size == 0 or dg.size == 0:
+        return 0j
+    nr, na = QUAD_LEVELS[level]
+    r, wr = _radial_nodes(nr)
+    eipsi = np.exp(2j * np.pi * np.arange(na) / na)
+    rr = r[:, None]
+    eitau = (eipsi[None, :] + rr) / (1.0 + rr * eipsi[None, :])
+    total = 0.0
+    for zeta, gamma in mu.atoms:
+        z = zeta * rr * eitau
+        fp = np.polynomial.polynomial.polyval(z, df)
+        gp = fp if dg is df else np.polynomial.polynomial.polyval(z, dg)
+        avg = np.mean(fp * np.conj(gp), axis=1)
+        total += gamma * 2.0 * np.sum(wr * r * avg)
+    return complex(total)
+
+
+def test_cross_energy_is_bitwise_the_full_grid_body(seeded_measure):
+    # Same nodes, same operations, same summation order: == on every case.
+    # Each (k, level) runs one nonconstant pair in turn, which keeps the
+    # full-grid reference affordable; every pair meets every level.
+    rng = np.random.default_rng(20)
+    f = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    top_zero = np.array([1.0, 2.0, 0.0])  # f' = [2, 0]: zero top coefficient
+    pairs = [(f, g), (g, f), (f, f), (top_zero, g), (top_zero, top_zero)]
+    for k in range(1, 9):
+        mu = seeded_measure(rng, k)
+        for level in QUAD_LEVELS:
+            a, b = pairs[(k + level) % len(pairs)]
+            assert cross_energy(a, b, mu, level) == _reference_cross_energy(a, b, mu, level)
+            assert cross_energy(f, [2.0], mu, level) == 0j
+            assert cross_energy([2.0], g, mu, level) == 0j
+
+
+def test_cross_energy_allocates_no_full_grid_array():
+    # A full level-3 grid is 256 x 2048 complex, 8.4 MB per array; the
+    # radial blocks keep a warm call's traced peak to a few 0.5 MB buffers.
+    mu = make_measure(np.exp([0.3j, 2.0j, 4.1j]), [0.5, 0.4, 0.6])
+    f, g = _basis(10), _basis(6)
+    want = cross_energy(f, g, mu, 3)
+    tracemalloc.start()
+    try:
+        got = cross_energy(f, g, mu, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 4e6
 
 
 def test_gram_moment_table_is_bitwise_per_moment(seeded_measure):

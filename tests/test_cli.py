@@ -233,6 +233,11 @@ def test_sweep_bad_ranges(capsys):
     for angles in ("0:nan:1", "0:inf:1", "0:10:inf"):
         code, out, err = _run(["sweep", "--angles", angles], capsys)
         assert (code, out) == (2, "") and f"angle range {angles!r} must be finite" in err
+    code, out, err = _run(["sweep", "--angles", "0:180:1e-5"], capsys)
+    assert (code, out) == (2, "")
+    assert "angle range '0:180:1e-5' would make 18000001 rows, more than 10000" in err
+    code, out, err = _run(["sweep", "--angles=-1e308:1e308:1"], capsys)
+    assert (code, out) == (2, "") and "would make inf rows" in err
 
 
 def test_sweep_bad_weights(capsys):
