@@ -68,6 +68,10 @@ __all__ = [
     "sweep_angle",
 ]
 
+# Largest truncation size: the N x N Gram and its factors take ~1.7 GB
+# at 4096 and grow as N^2.
+MAX_TRUNC = 4096
+
 QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
 
 # Radial rows per block of cross_energy: its three 16 x 2048 complex
@@ -271,7 +275,7 @@ class TruncationWorkspace:
     ----------
     mu : MeasureSpec
     N : int
-        Truncation size, at least 8.
+        Truncation size, in ``8..MAX_TRUNC``.
     T : ndarray
         Matrix of multiplication by ``z`` in the orthonormalized basis
         (upper Hessenberg).
@@ -292,7 +296,7 @@ class TruncationWorkspace:
     Raises
     ------
     ValidationError
-        If ``N < 8``.
+        If ``N`` is outside ``8..MAX_TRUNC``.
     NotPSD
         If the Gram matrix fails the positive-definite factorization.
     SingularGram
@@ -453,9 +457,11 @@ def _defect_factors(x, nmax, first=None):
 
 
 def _check_size(n):
-    """Raise :class:`ValidationError` unless the truncation size ``n`` is at least 8."""
+    """Raise :class:`ValidationError` unless the truncation size ``n`` is in 8..MAX_TRUNC."""
     if n < 8:
         raise ValidationError(f"truncation size must be at least 8, got {n}")
+    if n > MAX_TRUNC:
+        raise ValidationError(f"truncation size {n} is above the cap {MAX_TRUNC}")
 
 
 def _check_order(n, orders, kind):
@@ -591,8 +597,9 @@ def agler_min_eig(tp, n, margin):
     """Minimum interior eigenvalue of the order-``n`` moment defect form.
 
     For a subnormal contraction the form is positive semidefinite at
-    every order; a genuinely negative interior eigenvalue certifies
-    failure.  The interior block shrinks by ``n`` extra rows because an
+    every order.  The value carries the truncation's error and round-off,
+    so where the exact form is 0 it reads as small numbers of either
+    sign.  The interior block shrinks by ``n`` extra rows because an
     ``n``-fold product of the truncated matrix corrupts entries within
     ``n`` of the edge.  The form is ``B_n`` of the defect recursion.
 
@@ -867,7 +874,7 @@ def sweep_angle(theta_grid, weights=(1.0, 1.0), trunc=48):
         Angles in degrees, each in ``(0, 180]``.
     weights : pair of float, optional
     trunc : int, optional
-        Truncation size for the order-2 defect column, at least 8.
+        Truncation size for the order-2 defect column, in ``8..MAX_TRUNC``.
 
     Returns
     -------
@@ -876,7 +883,7 @@ def sweep_angle(theta_grid, weights=(1.0, 1.0), trunc=48):
     Raises
     ------
     ValidationError
-        If ``trunc < 8``, before any row runs.
+        If ``trunc`` is outside ``8..MAX_TRUNC``, before any row runs.
     """
     _check_size(trunc)
     rows = []

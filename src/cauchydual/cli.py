@@ -69,9 +69,12 @@ def parse_complex(text):
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _cmd_analyze(args):

@@ -284,10 +284,11 @@ def spectral_factorize(num):
     Raises
     ------
     ValidationError
-        If ``num`` is not Hermitian-symmetric or not strictly positive on
-        the validation grid.
+        If ``num`` is not Hermitian-symmetric or falls below
+        ``-1e-12 * max|coeff|`` on the validation grid.
     BoundaryRoot
-        If a root lies within ``1e-8`` of the unit circle.
+        If a root lies within ``1e-8`` of the unit circle, or the grid
+        minimum is in ``[-1e-12 * max|coeff|, 0]``.
     NonConvergence
         Propagated from root finding, or if the inner/outer root pairing
         fails.
@@ -306,8 +307,14 @@ def spectral_factorize(num):
         raise ValidationError("input Laurent polynomial is not Hermitian-symmetric")
 
     grid = np.exp(2j * np.pi * np.arange(4 * k + 16) / (4 * k + 16))
-    vals = num.eval(grid).real
-    if np.min(vals) <= 0.0:
+    low = float(np.min(num.eval(grid).real))
+    if -1e-12 * maxc <= low <= 0.0:
+        # A nonnegative numerator that vanishes on the circle has a root there.
+        raise BoundaryRoot(
+            f"weight numerator minimum {low:.3e} on the circle is round-off of 0 "
+            f"at coefficient scale {maxc:.3e}"
+        )
+    if low < 0.0:
         raise ValidationError("weight numerator is not strictly positive on the circle")
 
     if k == 0:

@@ -68,19 +68,23 @@ def _object(properties):
     }
 
 
-_COMPLEX_SCHEMA = _object({"re": {"type": "number"}, "im": {"type": "number"}})
-_COMPLEX_OR_NULL = {"oneOf": [{"$ref": "#/definitions/complex"}, {"type": "null"}]}
+def _or_null(schema):
+    """``schema`` that also accepts null: draft-07 applies the object
+    keywords only to objects."""
+    return {**schema, "type": [schema["type"], "null"]}
+
+
+_COMPLEX = _object({"re": {"type": "number"}, "im": {"type": "number"}})
+_COMPLEX_OR_NULL = _or_null(_COMPLEX)
 _NUMBER_OR_NULL = {"type": ["number", "null"]}
-_COMPLEX_VECTOR = {"type": "array", "items": {"$ref": "#/definitions/complex"}}
+_COMPLEX_VECTOR = {"type": "array", "items": _COMPLEX}
 _COMPLEX_MATRIX = {"type": "array", "items": _COMPLEX_VECTOR}
 _CURVE = {
     "type": "object",
     "patternProperties": {"^[0-9]+$": {"type": "number"}},
     "additionalProperties": False,
 }
-_POINT_MASS = _object(
-    {"point": {"$ref": "#/definitions/complex"}, "weight": {"type": "number"}}
-)
+_POINT_MASS = _object({"point": _COMPLEX, "weight": {"type": "number"}})
 _ORACLE_RUN = _object(
     {
         "N": {"type": "integer"},
@@ -94,7 +98,6 @@ _ORACLE_RUN = _object(
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "definitions": {"complex": _COMPLEX_SCHEMA},
     **_object(
         {
             "schema_version": {"const": "1"},
@@ -138,12 +141,9 @@ REPORT_SCHEMA = {
                     "citations": {"type": "array", "items": {"type": "string"}},
                 }
             ),
-            "oracle": {
-                "oneOf": [
-                    {"type": "null"},
-                    _object({"runs": {"type": "array", "items": _ORACLE_RUN}}),
-                ]
-            },
+            "oracle": _or_null(
+                _object({"runs": {"type": "array", "items": _ORACLE_RUN}})
+            ),
             "meta": _object(
                 {
                     "tolerances": {"type": "object"},
@@ -168,10 +168,8 @@ _TYPES = {
     "array": lambda v: isinstance(v, list),
     "object": lambda v: isinstance(v, dict),
 }
-_KEYWORDS = {"$schema", "definitions", "$ref", "type", "required", "properties",
-             "patternProperties", "additionalProperties", "items", "const", "enum",
-             "oneOf"}
-_REF_PREFIX = "#/definitions/"
+_KEYWORDS = {"$schema", "type", "required", "properties", "patternProperties",
+             "additionalProperties", "items", "const", "enum"}
 
 
 def _equal(a, b):
@@ -193,24 +191,17 @@ def _fail(path, message):
     raise SchemaViolation(f"{path}: {message}")
 
 
-def _check(value, schema, path, root=REPORT_SCHEMA):
+def _check(value, schema, path):
     """Raise :class:`SchemaViolation` at the first part of ``value`` that
     breaks the draft-07 ``schema``, naming its JSON path.
 
-    Only the keywords in ``_KEYWORDS`` are implemented, and ``$ref`` only
-    as a ``#/definitions/<name>`` pointer into ``root``.  Any other keyword
+    Only the keywords in ``_KEYWORDS`` are implemented.  Any other keyword
     raises ``NotImplementedError`` wherever its schema is reached; none is
     ignored.
     """
     if not _KEYWORDS.issuperset(schema):
         unknown = sorted(set(schema) - _KEYWORDS)
         raise NotImplementedError(f"schema keywords not implemented: {unknown}")
-    if "$ref" in schema:
-        # Draft 07 ignores the siblings of $ref.
-        ref = schema["$ref"]
-        if not ref.startswith(_REF_PREFIX):
-            raise NotImplementedError(f"$ref {ref!r} is not #/definitions/<name>")
-        return _check(value, root["definitions"][ref[len(_REF_PREFIX):]], path, root)
     names = schema.get("type")
     if names is not None:
         names = (names,) if isinstance(names, str) else names
@@ -233,29 +224,18 @@ def _check(value, schema, path, root=REPORT_SCHEMA):
         for key, item in value.items():
             matched = key in props
             if matched:
-                _check(item, props[key], path + _child(key), root)
+                _check(item, props[key], path + _child(key))
             for pattern, sub in patterns.items():
                 if re.search(pattern, key):
                     matched = True
-                    _check(item, sub, path + _child(key), root)
+                    _check(item, sub, path + _child(key))
             if not matched and not additional:
                 _fail(path + _child(key), "property is not allowed")
     if isinstance(value, list) and "items" in schema:
         if not isinstance(schema["items"], dict):
             raise NotImplementedError("items other than a single schema")
         for i, item in enumerate(value):
-            _check(item, schema["items"], f"{path}[{i}]", root)
-    if "oneOf" in schema:
-        errors = []
-        for sub in schema["oneOf"]:
-            try:
-                _check(value, sub, path, root)
-            except SchemaViolation as exc:
-                errors.append(str(exc))
-        matches = len(schema["oneOf"]) - len(errors)
-        if matches != 1:
-            _fail(path, f"matches {matches} of the oneOf branches, not exactly one "
-                  f"({'; '.join(errors)})")
+            _check(item, schema["items"], f"{path}[{i}]")
 
 
 def _cpx(value):
@@ -315,8 +295,8 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
     Raises
     ------
     ValidationError
-        If ``nmax`` lies outside ``1..10`` or ``trunc`` is below 8, with or
-        without the oracle.
+        If ``nmax`` lies outside ``1..10`` or ``trunc`` outside
+        ``8..MAX_TRUNC``, with or without the oracle.
     """
     _check_order(nmax, AGLER_ORDERS, "defect")
     _check_size(trunc)

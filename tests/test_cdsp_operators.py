@@ -36,6 +36,8 @@ def test_truncation_shape_and_margin(canonical_mu):
 def test_truncation_size_validation(canonical_mu):
     with pytest.raises(ValidationError, match=r"^truncation size must be at least 8, got 7$"):
         build_truncation(canonical_mu, 7)
+    with pytest.raises(ValidationError, match=r"^truncation size 4097 is above the cap 4096$"):
+        build_truncation(canonical_mu, cdsp.MAX_TRUNC + 1)
 
 
 def test_shift_is_upper_hessenberg(property_measures):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cauchydual import ParseError, selftest
+from cauchydual import ParseError, cdsp, selftest
 from cauchydual.cli import main, parse_complex
 from cauchydual.selftest import list_checks
 
@@ -340,3 +340,43 @@ def test_analyze_trunc_below_8_exits_2(capsys, skip):
     code, out, err = _run(["analyze", "--measure", "1;i", "--trunc", "7", *skip], capsys)
     assert (code, out) == (2, "")
     assert "error: truncation size must be at least 8, got 7" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--measure", "1", "--skip-oracle", "--out"],
+    ["sweep", "--angles", "90:90:1", "--csv"],
+])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    path = str(tmp_path / "missing" / "x.out")
+    code, out, err = _run([*argv, path], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot write {path!r}: No such file or directory" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--measure", "1;i"],
+    ["analyze", "--measure", "1;i", "--skip-oracle"],
+    ["sweep", "--angles", "90:90:1"],
+])
+@pytest.mark.parametrize("trunc", ["4097", str(10**9)])
+def test_trunc_above_cap_exits_2(capsys, monkeypatch, argv, trunc):
+    # The cap is checked before any Gram matrix is built.
+    def refuse(mu, n):
+        raise AssertionError(f"Gram matrix of size {n} was built")
+
+    monkeypatch.setattr(cdsp, "gram_monomials", refuse)
+    code, out, err = _run([*argv, "--trunc", trunc], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: truncation size {trunc} is above the cap 4096" in err
+
+
+@pytest.mark.parametrize("text, scale", [
+    ("1:w=1e-17", "2.000e+00"), ("1;i:w=1e300", "2.000e+300"), ("deg:0;deg:1e-7", "1.000e+01"),
+])
+def test_roundoff_positivity_loss_exits_3(capsys, text, scale):
+    # Each numerator is positive in exact arithmetic; its grid minimum
+    # evaluates to 0, a boundary root rather than invalid input.
+    code, out, err = _run(["analyze", "--skip-oracle", "--measure", text], capsys)
+    assert (code, out) == (3, "")
+    assert ("error: BoundaryRoot: weight numerator minimum 0.000e+00 on the circle "
+            f"is round-off of 0 at coefficient scale {scale}") in err

@@ -214,11 +214,11 @@ def test_spectral_factorize_boundary_root():
 
 
 def test_spectral_factorize_rejects_near_zero_dip():
-    # The same root rotated onto a grid node trips the strict
-    # positivity validation first.
+    # The same root rotated onto a grid node makes the grid minimum
+    # round-off of 0, which names the same boundary root.
     r0 = 1.0 + 5e-9
     num = LaurentPoly({0: 1.0 + r0 * r0, 1: -r0 + 0j, -1: -r0 + 0j})
-    with pytest.raises(ValidationError):
+    with pytest.raises(BoundaryRoot, match="is round-off of 0 at coefficient scale"):
         spectral_factorize(num)
 
 
