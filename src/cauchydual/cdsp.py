@@ -24,7 +24,9 @@ Two independent routes:
    ``eigh`` of its whole ``B_1``), and each order adds one or two.  Every
    later order is a QR of ``[W, X* W]`` and an eigendecomposition of its
    small core, at ``O(N^2 r)`` instead of ``O(N^3)``.  A form's interior
-   eigenvalues are those of the core of ``W[:keep]``, joined by 0.
+   eigenvalues are those of the core of ``W[:keep]``, joined by 0.  The
+   dual's contraction gate reads its interior norm off ``B_1`` and a rank
+   ``k + 1`` edge block the same way, so no SVD runs.
 
 Scalars produced by the closed-form route (overlap sum, root products,
 coupling determinant) are those of a canonical rotation frame: atoms sorted
@@ -549,19 +551,41 @@ def _gated_dual(w):
     (Woodbury), at ``O(N^2 k)``.  With ``S^-1 = I_k - Y F``, the edge
     column ``d`` and ``u = d - F Y d``, ``v = e - F Y e``, the first form
     is ``I - D* D = F (I_k - Y F) F* - u v* - v u* + d_{N-1} v v*``, from
-    the same ``k + 2`` columns as the shift's.
+    the same ``k + 2`` columns as the shift's.  The gate reads the norm
+    of ``D[:keep, :keep]`` off that factor (:func:`_interior_norm`).
     """
     f, d = w.frame_factor, w._edge
     eye = np.eye(f.shape[1])
     y = np.linalg.solve(eye + f.conj().T @ f, f.conj().T)
-    dual = w.T - (w.T @ f) @ y
-    keep = w.N - w.margin
-    nrm = float(np.linalg.norm(dual[:keep, :keep], 2))
-    if nrm > 1.0 + 1e-6:
-        raise NonConvergence(f"Cauchy dual interior norm {nrm:.9f} exceeds 1 + 1e-6")
+    tf = w.T @ f
+    dual = w.T - tf @ y
     v = -(f @ y[:, -1])
     v[-1] += 1.0
-    return dual, nrm, _edge_form(f, eye - y @ f, v, d - f @ (y @ d), d[-1].real)
+    first = _edge_form(f, eye - y @ f, v, d - f @ (y @ d), d[-1].real)
+    nrm = _interior_norm(w, tf, y, first)
+    if nrm > 1.0 + 1e-6:
+        raise NonConvergence(f"Cauchy dual interior norm {nrm:.9f} exceeds 1 + 1e-6")
+    return dual, nrm, first
+
+
+def _interior_norm(w, tf, y, first):
+    """Spectral norm of the dual's interior block ``D_k = D[:keep, :keep]``.
+
+    With ``E = D[keep:, :keep]``, ``I - D_k* D_k = (I - D* D)[:keep, :keep]
+    + E* E``.  ``T`` is upper Hessenberg, so ``E = U V*`` with
+    ``U = [-(T F)[keep:], T[keep, keep-1] e_0]`` and
+    ``V = [Y[:, :keep]*, e_{keep-1}]``, ``k + 1`` columns each, and the
+    norm is ``sqrt(1 - lambda)`` for ``lambda`` the smallest eigenvalue of
+    ``[W[:keep], V] blockdiag(H, U* U) [W[:keep], V]*`` by :func:`_extreme`,
+    which joins 0 only when ``keep`` exceeds the factor's width.
+    """
+    (wf, h), keep = first, w.N - w.margin
+    u = np.column_stack((-tf[keep:], w.T[keep, keep - 1] * np.eye(w.margin, 1)))
+    v = np.column_stack((y[:, :keep].conj().T, np.eye(keep, 1, 1 - keep)))
+    gap = np.zeros((h.shape[0], u.shape[1]))
+    core = np.block([[h, gap], [gap.T, u.conj().T @ u]])
+    lowest = _extreme(np.hstack((wf[:keep], v)), core, keep, lowest=True)
+    return float(np.sqrt(max(0.0, 1.0 - lowest)))
 
 
 def cauchy_dual(w):
@@ -589,6 +613,7 @@ def cauchy_dual(w):
     NonConvergence
         If the interior operator norm exceeds the contraction gate
         ``1 + 1e-6`` (the Cauchy dual of a 2-isometry is a contraction).
+        The norm is read off factors (:func:`_interior_norm`), not an SVD.
     """
     return _gated_dual(w)[0]
 

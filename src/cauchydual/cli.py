@@ -13,7 +13,9 @@ byte-identical on standard out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import re
 import sys
 import time
@@ -66,23 +68,33 @@ def parse_complex(text):
     raise ParseError(f"invalid complex literal {text!r} (expected a+bi)")
 
 
-def _write_text(path, text):
+@contextlib.contextmanager
+def _output(path):
+    """Yield a ``write(text)`` to ``path`` (stdout if None), opened for
+    appending before the work: an unwritable path fails first, an existing
+    file changes only when ``write`` replaces its content, and a new one is
+    removed if the work raises.  An ``OSError`` in the block names the path.
+    """
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
         return
+    created = not os.path.exists(path)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path!r}: {exc.strerror}") from None
+        with open(path, "a", encoding="utf-8") as fh:
+            yield lambda text: fh.truncate(0) or fh.write(text)
+    except BaseException as exc:
+        if created and os.path.exists(path):
+            os.remove(path)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write {path!r}: {exc.strerror}") from None
+        raise
 
 
 def _cmd_analyze(args):
     mu = parse_measure(args.measure)
-    doc = build_report(
-        mu, trunc=args.trunc, nmax=args.nmax, skip_oracle=args.skip_oracle
-    )
-    _write_text(args.out, validate_report(doc))
+    with _output(args.out) as write:
+        doc = build_report(mu, trunc=args.trunc, nmax=args.nmax, skip_oracle=args.skip_oracle)
+        write(validate_report(doc))
     return 0
 
 
@@ -104,14 +116,19 @@ def _cmd_kernel(args):
     return 0
 
 
-def _parse_angles(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ParseError(f"invalid angle range {text!r} (expected start:stop:step)")
+def _floats(text, what, form, sep):
+    """The ``sep``-separated floats of ``text``, as many as ``form`` has."""
+    parts = text.split(sep)
+    if len(parts) != len(form.split(sep)):
+        raise ParseError(f"invalid {what} {text!r} (expected {form})")
     try:
-        start, stop, step = (float(p) for p in parts)
+        return [float(p) for p in parts]
     except ValueError as exc:
-        raise ParseError(f"invalid angle range {text!r}: {exc}") from None
+        raise ParseError(f"invalid {what} {text!r}: {exc}") from None
+
+
+def _parse_angles(text):
+    start, stop, step = _floats(text, "angle range", "start:stop:step", ":")
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValidationError(f"angle range {text!r} must be finite")
     if step <= 0.0:
@@ -128,13 +145,7 @@ def _parse_angles(text):
 
 
 def _parse_weights(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"invalid weights {text!r} (expected w1,w2)")
-    try:
-        w1, w2 = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"invalid weights {text!r}: {exc}") from None
+    w1, w2 = _floats(text, "weights", "w1,w2", ",")
     if not all(0.0 < w < math.inf for w in (w1, w2)):
         raise ValidationError(f"weights {text!r} must be positive and finite")
     return (w1, w2)
@@ -143,8 +154,9 @@ def _parse_weights(text):
 def _cmd_sweep(args):
     grid = _parse_angles(args.angles)
     weights = _parse_weights(args.weights)
-    rows = sweep_angle(grid, weights=weights, trunc=args.trunc)
-    _write_text(args.csv, render_csv(rows))
+    with _output(args.csv) as write:
+        rows = sweep_angle(grid, weights=weights, trunc=args.trunc)
+        write(render_csv(rows))
     if rows and all(row.error is not None for row in rows):
         return 3
     return 0
@@ -175,7 +187,8 @@ def _build_parser():
     p = sub.add_parser("analyze", help="run the full pipeline and emit a JSON report")
     p.add_argument("--measure", required=True, help="measure grammar string, e.g. '1;i'")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--trunc", type=int, default=64, help="oracle truncation size")
+    p.add_argument("--trunc", type=int, default=64, help=(
+        "oracle truncation size, 8..4096, and at least max(10, nmax + 6) with the oracle"))
     p.add_argument("--nmax", type=int, default=6, help="largest defect order, 1..10")
     p.add_argument(
         "--skip-oracle", action="store_true", help="skip truncated-operator checks"

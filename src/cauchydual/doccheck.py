@@ -36,35 +36,20 @@ def extract_transcripts(text):
     -------
     list of (str, int, list of str)
     """
-    transcripts = []
-    in_fence = False
-    command = None
-    expected_exit = 0
-    expected = []
+    transcripts, fence = [], None
     for line in text.splitlines():
-        if not in_fence:
-            if line.strip() == "```console":
-                in_fence = True
-            continue
-        if line.strip() == "```":
-            if command is not None:
-                transcripts.append((command, expected_exit, expected))
-            in_fence = False
-            command = None
-            expected = []
-            continue
-        if line.startswith("$ "):
-            if command is not None:
-                transcripts.append((command, expected_exit, expected))
+        if fence is None:
+            fence = [] if line.strip() == "```console" else None
+        elif line.strip() == "```":
+            transcripts += fence
+            fence = None
+        elif line.startswith("$ "):
             command = line[2:]
-            expected_exit = 0
             m = _EXIT_RE.search(command)
-            if m:
-                expected_exit = int(m.group(1))
-                command = command[: m.start()]
-            expected = []
-        elif command is not None:
-            expected.append(line)
+            code = int(m.group(1)) if m else 0
+            fence.append((command[: m.start()] if m else command, code, []))
+        elif fence:
+            fence[-1][2].append(line)
     return transcripts
 
 

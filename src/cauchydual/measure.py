@@ -173,11 +173,7 @@ def format_measure(mu):
     """
     parts = []
     for p, w in mu.atoms:
-        token = None
-        for sym, val in _SYMBOLIC_POINTS.items():
-            if abs(p - val) < 1e-15:
-                token = sym
-                break
+        token = next((s for s, v in _SYMBOLIC_POINTS.items() if abs(p - v) < 1e-15), None)
         if token is None:
             angle = (np.angle(p) % (2.0 * np.pi)) * 180.0 / np.pi
             token = f"deg:{float(angle)!r}"

@@ -28,7 +28,7 @@ from .cdsp import (
 )
 from .debranges import build_identification
 from .dirichlet import build_model
-from .errors import SchemaViolation
+from .errors import SchemaViolation, ValidationError
 from .measure import format_measure
 
 __all__ = [
@@ -295,11 +295,17 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
     Raises
     ------
     ValidationError
-        If ``nmax`` lies outside ``1..10`` or ``trunc`` outside
-        ``8..MAX_TRUNC``, with or without the oracle.
+        If ``nmax`` lies outside ``1..10``, ``trunc`` outside
+        ``8..MAX_TRUNC``, or, with the oracle, ``trunc`` below ``max(10, nmax + 6)``.
     """
     _check_order(nmax, AGLER_ORDERS, "defect")
     _check_size(trunc)
+    # Below N=32 the margin is 4: the deepest order, max(4, nmax), keeps 2 rows.
+    floor = 6 + max(4, nmax)
+    if trunc < floor and not skip_oracle:
+        raise ValidationError(
+            f"truncation size {trunc} is below {floor} = max(10, nmax + 6) for nmax {nmax}"
+        )
     model = build_model(mu)
     ident = build_identification(model)
     # The verdict and the coupling read their canonical-frame values off

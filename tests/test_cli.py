@@ -354,6 +354,63 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", "--measure", "1;i", "--out"],
+    ["sweep", "--angles", "1:180:1", "--csv"],
+])
+def test_unwritable_output_exits_2_before_the_work(capsys, monkeypatch, tmp_path, argv):
+    import cauchydual.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before the output was opened")
+
+    monkeypatch.setattr(cli, "build_report", refuse)
+    monkeypatch.setattr(cli, "sweep_angle", refuse)
+    path = str(tmp_path / "missing" / "x.out")
+    code, out, err = _run([*argv, path], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot write {path!r}: No such file or directory" in err
+
+
+def test_failed_run_leaves_no_output_file(capsys, tmp_path):
+    # A new file is removed when the work raises; an existing one keeps
+    # its content, and a successful run replaces all of it.
+    path = tmp_path / "x.json"
+    argv = ["analyze", "--measure", "deg:0;deg:15", "--out", str(path)]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert "NonConvergence" in err
+    assert not path.exists()
+    path.write_text("x" * 100_000)
+    assert _run(argv, capsys)[0] == 3
+    assert path.read_text() == "x" * 100_000
+    argv = ["analyze", "--measure", "1", "--skip-oracle"]
+    assert _run([*argv, "--out", str(path)], capsys)[0] == 0
+    assert path.read_text() == _run(argv, capsys)[1]
+
+
+@pytest.mark.parametrize("trunc, nmax, floor", [
+    ("8", "6", 12), ("9", "2", 10), ("11", "6", 12), ("15", "10", 16),
+])
+def test_trunc_below_the_oracle_floor_exits_2(capsys, monkeypatch, trunc, nmax, floor):
+    # Orders 2..4 of the shift and nmax of the dual each keep 2 interior
+    # rows only from N = max(10, nmax + 6) on; the pair is checked before
+    # any model is built.  The sizes from the floor on run, and
+    # --skip-oracle still takes 8.
+    from cauchydual import report
+
+    build = report.build_model
+    monkeypatch.setattr(report, "build_model", lambda mu: pytest.fail("model built"))
+    argv = ["analyze", "--measure", "1", "--nmax", nmax, "--trunc"]
+    code, out, err = _run([*argv, trunc], capsys)
+    assert (code, out) == (2, "")
+    assert (f"error: truncation size {trunc} is below {floor} = max(10, nmax + 6) "
+            f"for nmax {nmax}") in err
+    monkeypatch.setattr(report, "build_model", build)
+    assert _run([*argv, str(floor)], capsys)[0] == 0
+    assert _run([*argv, "8", "--skip-oracle"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
     ["analyze", "--measure", "1;i"],
     ["analyze", "--measure", "1;i", "--skip-oracle"],
     ["sweep", "--angles", "90:90:1"],

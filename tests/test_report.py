@@ -43,10 +43,10 @@ def test_report_extra_trunc_size(canonical_mu):
     assert [run["N"] for run in doc["oracle"]["runs"]] == [48, 64, 80, 96]
 
 
-def test_report_two_norm_svds_per_size(monkeypatch, canonical_mu):
-    # One 2-norm, the dual's contraction gate's, which the report reuses
-    # as cauchy_dual_interior_norm; the shift's norm comes from its
-    # factored defect form.
+def test_report_runs_no_two_norm(monkeypatch, canonical_mu):
+    # No 2-norm runs: the dual's contraction gate, which the report reuses
+    # as cauchy_dual_interior_norm, and the shift's norm both come from
+    # factored defect forms.
     calls = []
     norm = np.linalg.norm
 
@@ -58,7 +58,7 @@ def test_report_two_norm_svds_per_size(monkeypatch, canonical_mu):
     monkeypatch.setattr(np.linalg, "norm", counting)
     doc = build_report(canonical_mu, trunc=128, nmax=6)
     assert len(doc["oracle"]["runs"]) == 4
-    assert len(calls) == 1 * 4
+    assert len(calls) == 0
 
 
 def _count_builds(monkeypatch, name):
