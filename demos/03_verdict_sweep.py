@@ -52,10 +52,3 @@ print("antipodal:  ", closed_form_test(parse_measure("1;-1")).verdict)
 # Inconclusive, and 180 degrees degenerates to the known subnormal case.
 rows = sweep_angle([15.0 * j for j in range(1, 13)])
 print("\n" + render_csv(rows))
-
-# The 15 degree row errors at the default truncation: nearly merged
-# atoms push the factorization roots toward the circle, the basis loses
-# decay, and the finite section honestly refuses to certify that the
-# dual is a contraction.  A larger section recovers the row.
-rows = sweep_angle([15.0], trunc=96)
-print(render_csv(rows))

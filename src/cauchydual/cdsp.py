@@ -873,21 +873,17 @@ class SweepRow:
         Angle between the two atoms, in degrees.
     verdict : CdspVerdict or None
         None when the row errored.
-    min_agler_n2 : float or None
-        Minimum interior eigenvalue of the order-2 defect form of the
-        Cauchy dual at the sweep truncation size.
     error : str or None
         Error class name when the row failed.
     """
 
     theta_deg: float
     verdict: CdspVerdict | None
-    min_agler_n2: float | None
     error: str | None
 
 
-def sweep_angle(theta_grid, weights=(1.0, 1.0), trunc=48):
-    """Run the verdict pipeline over a grid of atom separations.
+def sweep_angle(theta_grid, weights=(1.0, 1.0)):
+    """Run the closed-form verdict over a grid of atom separations.
 
     Each angle theta places atoms at ``1`` and ``exp(i theta pi / 180)``
     with the given weights.  Errors are captured per row and do not abort
@@ -898,19 +894,11 @@ def sweep_angle(theta_grid, weights=(1.0, 1.0), trunc=48):
     theta_grid : sequence of float
         Angles in degrees, each in ``(0, 180]``.
     weights : pair of float, optional
-    trunc : int, optional
-        Truncation size for the order-2 defect column, in ``8..MAX_TRUNC``.
 
     Returns
     -------
     list of SweepRow
-
-    Raises
-    ------
-    ValidationError
-        If ``trunc`` is outside ``8..MAX_TRUNC``, before any row runs.
     """
-    _check_size(trunc)
     rows = []
     for theta in theta_grid:
         theta = float(theta)
@@ -919,20 +907,7 @@ def sweep_angle(theta_grid, weights=(1.0, 1.0), trunc=48):
                 raise ValidationError(f"sweep angle {theta} outside (0, 180]")
             point = np.exp(1j * theta * np.pi / 180.0)
             mu = make_measure([1.0 + 0j, point], list(weights))
-            verdict = closed_form_test(mu)
-            w = build_truncation(mu, trunc)
-            dual, _, first = _gated_dual(w)
-            agler2 = _agler_curve(dual, (2,), w.margin, first)[2]
-            rows.append(
-                SweepRow(theta_deg=theta, verdict=verdict, min_agler_n2=agler2, error=None)
-            )
+            rows.append(SweepRow(theta_deg=theta, verdict=closed_form_test(mu), error=None))
         except ToolkitError as exc:
-            rows.append(
-                SweepRow(
-                    theta_deg=theta,
-                    verdict=None,
-                    min_agler_n2=None,
-                    error=type(exc).__name__,
-                )
-            )
+            rows.append(SweepRow(theta_deg=theta, verdict=None, error=type(exc).__name__))
     return rows

@@ -155,7 +155,7 @@ def _cmd_sweep(args):
     grid = _parse_angles(args.angles)
     weights = _parse_weights(args.weights)
     with _output(args.csv) as write:
-        rows = sweep_angle(grid, weights=weights, trunc=args.trunc)
+        rows = sweep_angle(grid, weights=weights)
         write(render_csv(rows))
     if rows and all(row.error is not None for row in rows):
         return 3
@@ -205,7 +205,6 @@ def _build_parser():
     p.add_argument("--angles", required=True, help="start:stop:step in degrees")
     p.add_argument("--weights", default="1,1", help="atom weights w1,w2")
     p.add_argument("--csv", default=None, help="output path (default: stdout)")
-    p.add_argument("--trunc", type=int, default=48, help="defect-column truncation")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("selftest", help="check frozen reference values")

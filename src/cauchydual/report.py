@@ -40,9 +40,7 @@ __all__ = [
     "SWEEP_CSV_HEADER",
 ]
 
-SWEEP_CSV_HEADER = (
-    "theta_deg,verdict,s_offdiag_re,s_offdiag_im,rootprod_re,rootprod_im,min_agler_n2"
-)
+SWEEP_CSV_HEADER = "theta_deg,verdict,s_offdiag_re,s_offdiag_im,rootprod_re,rootprod_im"
 
 TOLERANCES = {
     # find_roots' bound on each root's componentwise backward error.
@@ -460,17 +458,11 @@ def validate_report(doc):
     return text
 
 
-def _csv_cell(value):
-    if value is None:
-        return ""
-    return _fmt_float(value)
-
-
 def render_csv(rows):
     """Serialize sweep rows to CSV text with the stable header.
 
-    Error rows carry ``ERROR:<code>`` in the verdict column and empty
-    numeric cells.
+    Error rows carry ``ERROR:<code>`` in the verdict column and one empty
+    cell for each further column of the header.
 
     Parameters
     ----------
@@ -481,10 +473,11 @@ def render_csv(rows):
     str
     """
     lines = [SWEEP_CSV_HEADER]
+    empty = "," * (SWEEP_CSV_HEADER.count(",") - 1)
     for row in rows:
         theta = _fmt_float(row.theta_deg)
         if row.error is not None:
-            lines.append(f"{theta},ERROR:{row.error},,,,,")
+            lines.append(f"{theta},ERROR:{row.error}{empty}")
             continue
         verdict = row.verdict
         if verdict.s_offdiag is not None:
@@ -497,8 +490,5 @@ def render_csv(rows):
             rp_re, rp_im = _fmt_float(rp.real), _fmt_float(rp.imag)
         else:
             rp_re = rp_im = ""
-        lines.append(
-            f"{theta},{verdict.verdict},{s_re},{s_im},{rp_re},{rp_im},"
-            f"{_csv_cell(row.min_agler_n2)}"
-        )
+        lines.append(f"{theta},{verdict.verdict},{s_re},{s_im},{rp_re},{rp_im}")
     return "\n".join(lines) + "\n"

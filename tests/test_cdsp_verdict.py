@@ -194,8 +194,6 @@ def test_sweep_basic_grid():
     assert rows[3].verdict.verdict == "KnownSubnormal"
     for r in rows:
         assert r.error is None
-        assert r.min_agler_n2 is not None
-    assert rows[3].min_agler_n2 >= -1e-6
 
 
 def test_sweep_out_of_range_angle_is_error_row():
@@ -203,18 +201,25 @@ def test_sweep_out_of_range_angle_is_error_row():
     assert rows[0].error is None
     assert rows[1].error == "ValidationError"
     assert rows[1].verdict is None
-    assert rows[1].min_agler_n2 is None
     assert rows[2].error == "ValidationError"
 
 
-def test_sweep_small_angle_nonconvergence_row():
-    # At 15 degrees the truncated dual misses the contraction gate at
-    # the default size; the row must report the failure, not hide it.
-    rows = sweep_angle([15.0], trunc=48)
-    assert rows[0].error == "NonConvergence"
-    rows = sweep_angle([15.0], trunc=96)
-    assert rows[0].error is None
-    assert rows[0].verdict.verdict == "Inconclusive"
+def test_sweep_small_angles_carry_verdicts():
+    # Close atoms put both root products on the ray [1, oo); the closed
+    # form says so for every row, with no truncation gate in the way.
+    rows = sweep_angle(range(1, 17))
+    assert [r.error for r in rows] == [None] * 16
+    assert {r.verdict.verdict for r in rows} == {"Inconclusive"}
+
+
+def test_sweep_builds_no_truncation(monkeypatch):
+    def refuse(mu, n):
+        raise AssertionError(f"Gram matrix of size {n} was built")
+
+    monkeypatch.setattr(cdsp, "gram_monomials", refuse)
+    rows = sweep_angle(range(1, 181))
+    assert [r.error for r in rows] == [None] * 180
+    assert rows[-1].verdict.verdict == "KnownSubnormal"
 
 
 def test_sweep_weights_forwarded():

@@ -208,19 +208,37 @@ def test_sweep_csv_file(capsys, tmp_path):
 
 
 def test_sweep_all_rows_failed_is_exit_3(capsys):
-    code, out, _ = _run(["sweep", "--angles", "15:15:1"], capsys)
+    code, out, _ = _run(["sweep", "--angles", "181:181:1"], capsys)
     assert code == 3
-    assert "ERROR:NonConvergence" in out
+    assert "ERROR:ValidationError" in out
 
 
 def test_sweep_partial_failure_is_exit_0(capsys):
-    code, out, _ = _run(
-        ["sweep", "--angles", "15:90:75", "--trunc", "48"], capsys
-    )
+    code, out, _ = _run(["sweep", "--angles", "90:181:91"], capsys)
     assert code == 0
     lines = out.splitlines()
-    assert "ERROR:NonConvergence" in lines[1]
-    assert "NotSubnormal" in lines[2]
+    assert "NotSubnormal" in lines[1]
+    assert "ERROR:ValidationError" in lines[2]
+
+
+def test_sweep_spread_weights_keep_their_verdicts(capsys):
+    # The closed form alone decides each row; only the origin-row gate of
+    # debranges.compute_A may still fail one.
+    code, out, _ = _run(["sweep", "--weights", "0.01,50", "--angles", "5:180:5"], capsys)
+    assert code == 0
+    cells = [line.split(",")[1] for line in out.splitlines()[1:]]
+    assert len(cells) == 36
+    assert set(cells) <= {"NotSubnormal", "KnownSubnormal", "ERROR:ResidualTooLarge"}
+    assert cells[-1] == "KnownSubnormal"
+
+
+def test_sweep_has_no_trunc_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--angles", "90:90:1", "--trunc", "48"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --trunc 48" in captured.err
 
 
 def test_sweep_bad_ranges(capsys):
@@ -228,8 +246,6 @@ def test_sweep_bad_ranges(capsys):
     assert _run(["sweep", "--angles", "10:20:0"], capsys)[0] == 2
     assert _run(["sweep", "--angles", "10:20"], capsys)[0] == 2
     assert _run(["sweep", "--angles", "a:b:c"], capsys)[0] == 2
-    code, out, err = _run(["sweep", "--angles", "90:90:1", "--trunc", "7"], capsys)
-    assert (code, out) == (2, "") and "at least 8" in err
     for angles in ("0:nan:1", "0:inf:1", "0:10:inf"):
         code, out, err = _run(["sweep", "--angles", angles], capsys)
         assert (code, out) == (2, "") and f"angle range {angles!r} must be finite" in err
@@ -413,7 +429,6 @@ def test_trunc_below_the_oracle_floor_exits_2(capsys, monkeypatch, trunc, nmax, 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--measure", "1;i"],
     ["analyze", "--measure", "1;i", "--skip-oracle"],
-    ["sweep", "--angles", "90:90:1"],
 ])
 @pytest.mark.parametrize("trunc", ["4097", str(10**9)])
 def test_trunc_above_cap_exits_2(capsys, monkeypatch, argv, trunc):

@@ -378,12 +378,11 @@ def test_csv_header_and_rows():
     assert lines[0] == SWEEP_CSV_HEADER
     assert len(lines) == 3
     fields = lines[1].split(",")
-    assert len(fields) == 7
+    assert len(fields) == 6
     assert fields[0] == "90"
     assert fields[1] == "NotSubnormal"
     assert float(fields[2]) < -100.0
     assert float(fields[3]) == 0.0
-    assert abs(float(fields[6])) < 1e-6
     assert lines[2].split(",")[1] == "KnownSubnormal"
     assert text.endswith("\n")
 
@@ -391,7 +390,8 @@ def test_csv_header_and_rows():
 def test_csv_error_row():
     rows = sweep_angle([181.0])
     lines = render_csv(rows).splitlines()
-    assert lines[1] == "181,ERROR:ValidationError,,,,,"
+    assert lines[1] == "181,ERROR:ValidationError,,,,"
+    assert lines[1].count(",") == SWEEP_CSV_HEADER.count(",")
 
 
 def test_csv_matches_row_values():
@@ -399,7 +399,7 @@ def test_csv_matches_row_values():
     fields = render_csv([row]).splitlines()[1].split(",")
     assert float(fields[2]) == row.verdict.s_offdiag.real
     assert float(fields[4]) == row.verdict.root_products[0].real
-    assert float(fields[6]) == row.min_agler_n2
+    assert float(fields[5]) == row.verdict.root_products[0].imag
 
 
 def test_report_rotation_keeps_verdict(canonical_mu):
