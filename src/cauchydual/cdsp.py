@@ -15,10 +15,10 @@ Two independent routes:
    function of ``(mu, N)`` alone.  By the local Dirichlet formula the
    section of ``M* M`` is ``I + F F*`` with ``F`` of width k <= 8; the
    dual ``T (I + F F*)^-1 = T - (T F)(I_k + F* F)^-1 F*`` takes one
-   ``k x k`` solve by the Woodbury identity, and the triangular Gram
-   factor is inverted by 2 x 2 blocks.  Every defect form comes from one
-   recursion, ``B_n = B_{n-1} - X* B_{n-1} X`` from ``B_0 = I``, carried
-   on low-rank factors ``B_n = W_n H_n W_n*``:
+   ``k x k`` solve by the Woodbury identity, and the Gram factor, its
+   inverse and ``T`` come from one pass by 2 x 2 blocks.  Every defect
+   form comes from one recursion, ``B_n = B_{n-1} - X* B_{n-1} X`` from
+   ``B_0 = I``, carried on low-rank factors ``B_n = W_n H_n W_n*``:
    ``B_1 = I - X* X`` of the truncated shift or its dual is written down
    from ``F`` and two edge columns, ``k + 2`` in all (a bare matrix takes
    ``eigh`` of its whole ``B_1``), and each order adds one or two.  Every
@@ -45,11 +45,12 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cpoly import _sort_roots, poly_derivative, poly_eval
-from .debranges import build_identification, cholesky_upper
+from .debranges import build_identification
 from .dirichlet import build_model
-from .errors import NonConvergence, SingularGram, ToolkitError, ValidationError
+from .errors import NonConvergence, NotPSD, SingularGram, ToolkitError, ValidationError
 from .measure import MeasureSpec, make_measure
 
 __all__ = [
@@ -70,8 +71,8 @@ __all__ = [
     "sweep_angle",
 ]
 
-# Largest truncation size: the N x N Gram and its factors take ~1.7 GB
-# at 4096 and grow as N^2.
+# Largest truncation size: a build and its oracle peak at ~3.5 N x N
+# complex arrays (58.7 MB traced at N = 1024), so ~0.94 GB at 4096.
 MAX_TRUNC = 4096
 
 QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
@@ -81,8 +82,7 @@ QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
 # full-grid array would not.
 _QUAD_ROWS = 16
 
-# Diagonal blocks of at most this size are inverted directly; larger
-# triangular factors split at a power-of-two multiple of it.
+# Rows of the largest diagonal block that _gram_factors factors directly.
 _TRI_BLOCK = 32
 
 # Orders accepted by agler_min_eig (and the report's nmax) and by
@@ -131,9 +131,12 @@ def gram_monomials(mu, n):
         powers[2] = np.conj(mu.points) ** 2
     pos = np.sum(mu.weights * powers, axis=1)
     full = np.concatenate((np.conj(pos[:0:-1]), pos))
-    diffs = idx[None, :] - idx[:, None]
-    band = full[diffs + n - 1]
-    return np.eye(n, dtype=complex) + np.minimum.outer(idx, idx) * band
+    # G = I + min(m, l) * full[n - 1 - m + l], the band read through a
+    # Toeplitz view; adding 0 clears signed zeros as adding I's zeros did.
+    gram = np.multiply(np.minimum.outer(idx, idx), sliding_window_view(full, n)[::-1])
+    gram += 0.0
+    gram.flat[:: n + 1] += 1.0
+    return gram
 
 
 def quadrature_energy(coeffs, mu, level):
@@ -270,8 +273,7 @@ class TruncationWorkspace:
     the last row and column ``d = T* T e - M* M e`` (``e`` the last basis
     vector), so ``I - T* T = -F F* - d e* - e d* + d_{N-1} e e*`` is
     factored from the ``k + 2`` columns ``[F, e, d]`` (:func:`_edge_form`).
-    ``C^-1`` is taken by triangular 2 x 2 blocks (:func:`_upper_inverse`),
-    at about a third of a general inverse's cost.
+    ``C``, ``C^-1`` and ``T`` come from one BLAS-3 pass (:func:`_gram_factors`).
 
     Attributes
     ----------
@@ -317,27 +319,19 @@ class TruncationWorkspace:
     def __post_init__(self):
         mu, n = self.mu, self.N
         _check_size(n)
-        gram = gram_monomials(mu, n)
-        trace = np.trace(gram).real
-        c = cholesky_upper(np.conj(gram))
-        del gram
-        zero = np.flatnonzero(np.diag(c) == 0.0)
-        if zero.size:
-            raise SingularGram(
-                f"Gram pivot {zero[0]} of {n} is within 1e-10 * trace "
-                f"{trace:.3e} of 0"
-            )
-        c_inv = _upper_inverse(c)
-        vander = np.conj(mu.points)[None, :] ** np.arange(n)[:, None]
-        f = c_inv.conj().T @ (vander * np.sqrt(mu.weights))
-        t = np.hstack((c[:, 1:], np.zeros((n, 1)))) @ c_inv
+        c = gram_monomials(mu, n)
+        trace = np.trace(c).real
+        np.conjugate(c, out=c)
+        c_inv, t = np.zeros_like(c), np.zeros_like(c)
+        _gram_factors(c, c_inv, t, 0, n, trace)
+        # F = C^-* V and d below take transposed views, not N x N copies.
+        vander = mu.points[None, :] ** np.arange(n)[:, None]
+        f = np.conj(c_inv.T @ (vander * np.sqrt(mu.weights)))
         # The last column of I + F F*, then d = T* T e - M* M e.
         col = f @ np.conj(f[-1])
         col[-1] += 1.0
-        d = t.conj().T @ t[:, -1] - col
-        e = np.zeros(n)
-        e[-1] = 1.0
-        form = _edge_form(f, -np.eye(mu.k), e, d, d[-1].real)
+        d = np.conj(t.T @ np.conj(t[:, -1])) - col
+        form = _edge_form(f, -np.eye(mu.k), np.eye(n, 1, 1 - n), d, d[-1].real)
         # ||T||^2 = 1 - min eig(I - T*T), and at least 1: the shift is expansive.
         lowest = np.linalg.eigvalsh(form[1]).min(initial=1.0)
         values = {
@@ -369,31 +363,68 @@ def build_truncation(mu, n):
     return TruncationWorkspace(mu, n)
 
 
-def _upper_inverse(c):
-    """Inverse of an upper-triangular ``c`` by 2 x 2 blocks.
+def _gram_factors(a, c_inv, t, lo, hi, trace):
+    """Upper Cholesky factor ``C`` of ``a[lo:hi, lo:hi]`` written over it,
+    with ``C^-1`` and ``T = [C[:, 1:], 0] C^-1`` into zeroed ``c_inv``, ``t``.
 
-    ``[[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]]``, split at
-    the largest power-of-two multiple of ``_TRI_BLOCK`` below the size,
-    down to diagonal blocks of at most ``_TRI_BLOCK`` rows, which
-    ``numpy.linalg.inv`` takes.  Every leading block cut off is
-    ``_TRI_BLOCK * 2**j`` rows whatever the size, so the inverse's leading
-    blocks come out bit for bit the same at every size, as the factor's
-    do.  Du Croz and Higham (IMA J. Numer. Anal. 12, 1992) treat the
-    stability of such block triangular inversion.
+    One recursive pass by 2 x 2 blocks (Elmroth, Gustavson, Jonsson and
+    Kagstrom, SIAM Review 46, 2004), split at the largest power-of-two
+    multiple of ``_TRI_BLOCK`` below the size: ``C12 = C11^-* A12``,
+    ``A22 -= C12* C12``, ``C^-1_12 = -C11^-1 C12 C22^-1`` (Du Croz and
+    Higham, IMA J. Numer. Anal. 12, 1992); leaves take
+    ``numpy.linalg.cholesky`` and ``inv``.  ``T`` is upper Hessenberg: its
+    diagonal blocks are the blocks' own ``T`` coupled by one column and one
+    row, and ``T12 = C[:s, 1:] C^-1[:-1, s:]`` is one product.  Leading
+    blocks are cut off at ``_TRI_BLOCK * 2**j`` rows at every size, so all
+    three come out bit for bit the same there at every size.  A pivot
+    ``C_mm^2`` below ``-1e-10 * trace`` raises :class:`NotPSD`, one within
+    it of 0 :class:`SingularGram`, naming ``m``.
     """
-    n = c.shape[0]
-    if n <= _TRI_BLOCK:
-        return np.linalg.inv(c)
+    if hi - lo <= _TRI_BLOCK:
+        a[lo:hi, lo:hi] = _leaf_factor(a[lo:hi, lo:hi], lo, a.shape[0], trace)
+        c_inv[lo:hi, lo:hi] = np.linalg.inv(a[lo:hi, lo:hi])
+        np.matmul(a[lo:hi, lo + 1 : hi], c_inv[lo : hi - 1, lo:hi], out=t[lo:hi, lo:hi])
+        return
     s = _TRI_BLOCK
-    while 2 * s < n:
+    while 2 * s < hi - lo:
         s *= 2
-    a_inv = _upper_inverse(c[:s, :s])
-    d_inv = _upper_inverse(c[s:, s:])
-    out = np.zeros_like(a_inv, shape=c.shape)
-    out[:s, :s] = a_inv
-    out[s:, s:] = d_inv
-    out[:s, s:] = -(a_inv @ c[:s, s:]) @ d_inv
-    return out
+    mid = lo + s
+    _gram_factors(a, c_inv, t, lo, mid, trace)
+    c12 = a[lo:mid, mid:hi]
+    c12[...] = np.conj(c_inv[lo:mid, lo:mid].T @ np.conj(c12))
+    a[mid:hi, lo:mid] = 0.0
+    a[mid:hi, mid:hi] -= c12.conj().T @ c12
+    _gram_factors(a, c_inv, t, mid, hi, trace)
+    c_inv[lo:mid, mid:hi] = -(c_inv[lo:mid, lo:mid] @ c12) @ c_inv[mid:hi, mid:hi]
+    # The coupling: column z^mid of C times C11^-1's last row, its corner.
+    t[lo : mid + 1, mid - 1] += a[lo : mid + 1, mid] * c_inv[mid - 1, mid - 1]
+    t[mid, mid:hi] += a[mid, mid] * c_inv[mid - 1, mid:hi]
+    np.matmul(a[lo:mid, lo + 1 : hi], c_inv[lo : hi - 1, mid:hi], out=t[lo:mid, mid:hi])
+
+
+def _leaf_factor(a, lo, n, trace):
+    """Upper Cholesky factor of the leaf ``a`` (Gram rows ``lo..`` of
+    ``n``), gated on its pivots.  Where LAPACK refuses ``a``, an unblocked
+    walk finds the pivot that stopped it."""
+    tol = 1e-10 * trace
+    try:
+        c = np.linalg.cholesky(a, upper=True)
+        pivots = np.diag(c).real ** 2
+    except np.linalg.LinAlgError:
+        c, pivots, a = None, [], a.copy()
+        for j in range(a.shape[0]):
+            pivots.append(a[j, j].real)
+            if not pivots[-1] > tol:
+                break
+            row = a[j, j + 1 :] / np.sqrt(pivots[-1])
+            a[j + 1 :, j + 1 :] -= np.outer(row.conj(), row)
+        pivots = np.array(pivots)
+    j = np.argmin(pivots > tol)
+    if c is not None and pivots[j] > tol:
+        return c
+    if pivots[j] < -tol:
+        raise NotPSD(f"pivot {lo + j} is negative: {pivots[j]:.3e}")
+    raise SingularGram(f"Gram pivot {lo + j} of {n} is within 1e-10 * trace {trace:.3e} of 0")
 
 
 def _compress(q, core):
@@ -450,9 +481,8 @@ def _defect_factors(x, nmax, first=None):
         return
     w, h = _first_form(x) if first is None else first
     yield w, h
-    x_adj = x.conj().T
     for _ in range(nmax - 1):
-        q, r = np.linalg.qr(np.hstack((w, x_adj @ w)))
+        q, r = np.linalg.qr(np.hstack((w, np.conj(x.T @ np.conj(w)))))
         r1, r2 = r[:, : h.shape[0]], r[:, h.shape[0] :]
         w, h = _compress(q, r1 @ h @ r1.conj().T - r2 @ h @ r2.conj().T)
         yield w, h

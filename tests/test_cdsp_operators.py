@@ -2,12 +2,18 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cauchydual import (
     NonConvergence,
+    NotPSD,
+    SingularGram,
     ValidationError,
     agler_min_eig,
     build_report,
@@ -21,7 +27,6 @@ from cauchydual import (
 )
 from cauchydual import cdsp
 from cauchydual.cdsp import _defect_factors, _extreme, _gated_dual, _oracle_run
-from cauchydual.debranges import cholesky_upper
 
 AGLER_N6_CANONICAL = -1.203254e-02
 
@@ -54,10 +59,19 @@ def test_shift_is_expansive_on_columns(canonical_mu):
     assert np.min(norms[: w.N - w.margin]) >= 1.0 - 1e-12
 
 
+def _factors(a):
+    """``(C, C^-1, T)`` of the Hermitian ``a`` by the workspace's one
+    recursive pass, gated against ``a``'s own trace."""
+    c = np.array(a, dtype=complex)
+    c_inv, t = np.zeros_like(c), np.zeros_like(c)
+    cdsp._gram_factors(c, c_inv, t, 0, c.shape[0], np.trace(c).real)
+    return c, c_inv, t
+
+
 def _onb_factor(mu, n):
     """The upper-triangular ``C`` with ``C* C = conj(gram)`` that the
     workspace factors and drops: the same deterministic call, same bits."""
-    return cholesky_upper(np.conj(gram_monomials(mu, n)))
+    return _factors(np.conj(gram_monomials(mu, n)))[0]
 
 
 def test_gram_factor_is_upper_triangular_and_reproduces_gram(property_measures):
@@ -142,8 +156,8 @@ def test_T_is_the_only_full_size_field(canonical_mu):
 
 
 def test_truncation_and_oracle_invert_only_diagonal_blocks(monkeypatch, canonical_mu):
-    # The Gram factor is inverted by blocks: every inverse is of a
-    # diagonal block of at most _TRI_BLOCK rows, in order down the
+    # The Gram factor is inverted by blocks as it is built: every inverse
+    # is of a diagonal block of at most _TRI_BLOCK rows, in order down the
     # diagonal.  The dual solves only against I_k + F* F, and no first
     # form is dense: the shift's and the dual's both come from F and two
     # edge columns.
@@ -162,13 +176,13 @@ def test_truncation_and_oracle_invert_only_diagonal_blocks(monkeypatch, canonica
         forms.append(b)
         return first_form(b)
 
+    c = _onb_factor(canonical_mu, 384)
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(cdsp, "_first_form", counted_form)
     w = build_truncation(canonical_mu, 384)
     assert forms == []
     _oracle_run(w, 6)
-    c = _onb_factor(canonical_mu, 384)
     start = 0
     for block in invs:
         size = block.shape[0]
@@ -182,33 +196,127 @@ def test_truncation_and_oracle_invert_only_diagonal_blocks(monkeypatch, canonica
 
 @pytest.mark.parametrize("size", [8, 31, 33, 48, 80, 130, 384])
 def test_upper_inverse_residual_matches_numpy(seeded_measure, size):
-    # ||X c - I||_F of the block inverse is at most twice numpy.linalg.inv's,
-    # on Gram factors and on random triangular matrices, and X is upper
-    # triangular.
+    # ||X C - I||_F of the factor's inverse is at most twice
+    # numpy.linalg.inv's, on Gram matrices and on random Hermitian ones
+    # built from triangular factors, and X is upper triangular.
     rng = np.random.default_rng([100, size])
-    factors = [_onb_factor(seeded_measure(rng, k), size) for k in (1, 2, 5, 8)]
+    grams = [np.conj(gram_monomials(seeded_measure(rng, k), size)) for k in (1, 2, 5, 8)]
     for _ in range(4):
         c = np.triu(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
         c /= np.sqrt(size)
         c[np.diag_indices(size)] = rng.uniform(1.0, 2.0, size) * np.exp(
             2j * np.pi * rng.uniform(size=size)
         )
-        factors.append(c)
+        grams.append(c.conj().T @ c)
     eye = np.eye(size)
-    for c in factors:
-        x = cdsp._upper_inverse(c)
+    for a in grams:
+        c, x, _ = _factors(a)
+        assert np.max(np.abs(np.tril(c, -1))) == 0.0
         assert np.max(np.abs(np.tril(x, -1))) == 0.0
+        assert np.max(np.abs(c.conj().T @ c - a)) <= 1e-14 * np.max(np.abs(a))
         ref = np.linalg.norm(np.linalg.inv(c) @ c - eye)
         assert np.linalg.norm(x @ c - eye) <= 2.0 * ref
 
 
 def test_upper_inverse_leading_blocks_match_across_sizes(canonical_mu):
     # The splits sit at power-of-two multiples of _TRI_BLOCK at every size,
-    # so the leading 40 x 40 block of the inverse is the same bits at each.
-    c = _onb_factor(canonical_mu, 384)
-    lead = cdsp._upper_inverse(c[:40, :40])
+    # so the leading 40 x 40 blocks of C and its inverse are the same bits
+    # at each.
+    gram = np.conj(gram_monomials(canonical_mu, 384))
+    c, c_inv, _ = _factors(gram[:40, :40])
     for size in (64, 100, 200, 384):
-        assert np.array_equal(cdsp._upper_inverse(c[:size, :size])[:40, :40], lead)
+        c_n, c_inv_n, _ = _factors(gram[:size, :size])
+        assert np.array_equal(c_n[:40, :40], c)
+        assert np.array_equal(c_inv_n[:40, :40], c_inv)
+
+
+@pytest.mark.parametrize("size", [33, 65, 100, 384])
+def test_blocked_T_is_the_hessenberg_product(property_measures, size):
+    # T is formed over the factor's blocks; it is exactly upper Hessenberg
+    # and within 1e-14 relative of the dense [C[:, 1:], 0] C^-1.
+    for mu in property_measures:
+        c, c_inv, t = _factors(np.conj(gram_monomials(mu, size)))
+        assert np.max(np.abs(np.tril(t, -2))) == 0.0
+        dense = np.hstack((c[:, 1:], np.zeros((size, 1)))) @ c_inv
+        assert np.max(np.abs(t - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def _hermitian_with_pivots(size, pivots, seed):
+    """``C* diag(s) C`` for a random upper-triangular ``C`` with unit
+    entries at the keys of ``pivots``: its Cholesky pivot ``m`` is
+    ``pivots[m]`` there (``s`` is 1 elsewhere)."""
+    rng = np.random.default_rng(seed)
+    c = np.triu(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+    c /= np.sqrt(size)
+    c[np.diag_indices(size)] = rng.uniform(1.0, 2.0, size)
+    s = np.ones(size)
+    for m, value in pivots.items():
+        c[m, m], s[m] = 1.0, value
+    return (c.conj().T * s) @ c
+
+
+@pytest.mark.parametrize("size, index", [(64, 40), (384, 300)])
+def test_gram_factor_gates_name_a_later_pivot(size, index):
+    # A pivot inside a later leaf trips its gate by its own index.  An
+    # exact 0 and 1e-15 (which LAPACK takes) are within 1e-10 * trace of 0,
+    # and -1 (which it refuses) is negative.  The first pivot at a gate
+    # wins, also where LAPACK takes it and refuses a later one.
+    singular = rf"^Gram pivot {index} of {size} is within 1e-10 \* trace "
+    for pivots in ({index: 0.0}, {index: 1e-15}, {index: 1e-13, index + 5: -1.0}):
+        with pytest.raises(SingularGram, match=singular):
+            _factors(_hermitian_with_pivots(size, pivots, size))
+    with pytest.raises(NotPSD, match=rf"^pivot {index} is negative: -1\.0"):
+        _factors(_hermitian_with_pivots(size, {index: -1.0}, size))
+
+
+def test_build_and_oracle_peak_memory(canonical_mu):
+    # Traced peaks at N=384, in N x N complex arrays: the build holds the
+    # factor, its inverse and T with small temporaries, and the oracle
+    # holds the dual with no N x N conjugate copy.
+    unit = 384 * 384 * 16
+    _oracle_run(build_truncation(canonical_mu, 384), 10)
+    tracemalloc.start()
+    try:
+        w = build_truncation(canonical_mu, 384)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        _oracle_run(w, 10)
+        oracle = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build <= 3.75 * unit
+    assert oracle <= 2.5 * unit
+
+
+_HASH_WORKSPACE = """
+import hashlib, numpy as np
+from cauchydual import build_truncation, parse_measure
+from cauchydual.cdsp import _gated_dual
+digest = hashlib.sha256()
+for text in ("1", "1;i;deg:200:w=0.7"):
+    w = build_truncation(parse_measure(text), 384)
+    dual, _, first = _gated_dual(w)
+    for part in (w.T, w.frame_factor, w._edge, *w.shift_form, dual, *first):
+        digest.update(np.ascontiguousarray(part).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_workspace_bytes_do_not_depend_on_blas_threads():
+    # T, F, the edge column, both first forms and the dual are the same
+    # bytes on one BLAS thread and on two.  The defect recursion is not
+    # checked: LAPACK's Householder QR runs OpenBLAS's threaded
+    # matrix-vector product from 384 x 26 on, which its order 8 reaches.
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_WORKSPACE], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_shift_form_and_frame_section_have_rank_k_structure(seeded_measure):
