@@ -24,29 +24,38 @@ mu = parse_measure("1;i")
 print("measure:", format_measure(mu))
 print("atoms:", [(p, w) for p, w in mu.atoms])
 
-# The weight numerator is a Laurent polynomial, real and nonnegative on
-# the circle.  For this measure its coefficient table is tiny.
+# The weight numerator N is a trigonometric polynomial, real and
+# nonnegative on the circle.  It is held as the ascending coefficients of
+# z^k N(z), a polynomial of degree 2k; for this measure the table is tiny.
 num = weight_numerator(mu)
-print("\nweight numerator coefficients (power -> value):")
-for power in sorted(num.coeffs):
-    print(f"  {power:+d}: {num.coeffs[power]}")
+k = num.size // 2
+print("\nweight numerator: ascending coefficients of z^%d N(z):" % k)
+for power, value in enumerate(num):
+    print(f"  z^{power}: {value}")
+
+
+def n_on_circle(z):
+    """N(z) = conj(z)^k * (z^k N(z)) on the unit circle."""
+    return (np.conj(z) ** k * poly_eval(num, z)).real
+
 
 grid = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 9, endpoint=False))
-print("min of N on a circle grid:", float(np.min(num.eval(grid).real)))
+print("min of N on a circle grid:", float(np.min(n_on_circle(grid))))
 
 # Spectral factorization: N = d |q|^2 on the circle, with q monic and all
 # roots outside the closed disk.  Roots pair up across the circle as
-# alpha <-> 1/conj(alpha).
+# alpha <-> 1/conj(alpha), and comparing leading coefficients gives
+# d = |num[-1]| / prod |alpha|.
 fact = spectral_factorize(num)
 print("\nouter roots:", fact.outer_roots)
 print("inner roots:", fact.inner_roots)
 print("reflection check:", np.allclose(1.0 / np.conj(fact.outer_roots), fact.inner_roots[::-1], atol=1e-9) or np.allclose(1.0 / np.conj(fact.outer_roots), fact.inner_roots, atol=1e-9))
 print("q coefficients (ascending):", fact.q)
-print("d =", fact.d)
+print("d =", fact.d, "= |num[-1]| / prod |alpha| =", abs(num[-1]) / np.prod(np.abs(fact.outer_roots)))
 
 # Verify the factorization identity pointwise on the circle.
 qvals = poly_eval(fact.q, grid)
-err = float(np.max(np.abs(num.eval(grid).real - fact.d * np.abs(qvals) ** 2)))
+err = float(np.max(np.abs(n_on_circle(grid) - fact.d * np.abs(qvals) ** 2)))
 print("max |N - d |q|^2| on grid:", err)
 
 # The same machinery on a single atom produces golden-ratio constants:
@@ -57,8 +66,8 @@ print("\nsingle atom outer root:", fact1.outer_roots[0].real)
 print("single atom d:", fact1.d, "(equals 1/phi^2 =", float(1.0 / ((1 + np.sqrt(5)) / 2) ** 2), ")")
 
 # The root finder itself is deterministic: descending modulus, ties by
-# ascending argument.  The quartic with the same roots as the two-atom N:
-quartic = np.array([-1.0, 3.0 - 3.0j, 8.0j, -(3.0 + 3.0j), 1.0])
+# ascending argument.  The quartic i z^2 N(z) of the two-atom measure:
+quartic = 1j * num
 print("\nquartic roots in frozen order:")
 for root in find_roots(quartic, tol=1e-10):
     print(f"  {root:.15g}")

@@ -4,14 +4,13 @@ circle.
 
 Polynomials are represented as 1-D complex arrays of coefficients in
 ascending degree order: ``p[j]`` multiplies ``z**j``.  An empty array is the
-zero polynomial.  Laurent polynomials (finitely many positive and negative
-powers) are represented by :class:`LaurentPoly`, a mapping from the integer
-exponent to its coefficient.
+zero polynomial.  A trigonometric polynomial ``N(z) = sum_{|j| <= k} n_j z**j``
+is held the same way, as the ``2k + 1`` coefficients of ``z**k * N(z)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "poly_derivative",
     "poly_from_roots",
     "find_roots",
-    "LaurentPoly",
-    "laurent_mul",
     "Factorization",
     "spectral_factorize",
 ]
@@ -181,65 +178,6 @@ def _sort_roots(z):
 
 
 @dataclass(frozen=True)
-class LaurentPoly:
-    """Laurent polynomial ``sum_j coeffs[j] * z**j`` on the unit circle.
-
-    Parameters
-    ----------
-    coeffs : dict of int to complex
-        Mapping from exponent to coefficient.  Exponents may be negative.
-    """
-
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {int(j): complex(v) for j, v in self.coeffs.items() if v != 0}
-        object.__setattr__(self, "coeffs", clean)
-
-    @property
-    def bandwidth(self):
-        """Largest absolute exponent with a nonzero coefficient."""
-        if not self.coeffs:
-            return 0
-        return max(abs(j) for j in self.coeffs)
-
-    def hermitian_defect(self):
-        """Max deviation from ``coeffs[-j] == conj(coeffs[j])``."""
-        worst = 0.0
-        for j, v in self.coeffs.items():
-            worst = max(worst, abs(self.coeffs.get(-j, 0j) - np.conj(v)))
-        return worst
-
-    def eval(self, z):
-        """Evaluate at nonzero point(s) ``z``."""
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for j, v in self.coeffs.items():
-            out = out + v * z ** j
-        if out.ndim == 0:
-            return complex(out)
-        return out
-
-
-def laurent_mul(a, b):
-    """Product of two Laurent polynomials.
-
-    Parameters
-    ----------
-    a, b : LaurentPoly
-
-    Returns
-    -------
-    LaurentPoly
-    """
-    out = {}
-    for i, u in a.coeffs.items():
-        for j, v in b.coeffs.items():
-            out[i + j] = out.get(i + j, 0j) + u * v
-    return LaurentPoly(out)
-
-
-@dataclass(frozen=True)
 class Factorization:
     """Spectral factorization ``N(z) = d * q(z) * conj(q(z))`` on the circle.
 
@@ -249,7 +187,8 @@ class Factorization:
         Monic polynomial (ascending coefficients) whose roots are the
         outer roots.
     d : float
-        Positive scale factor.
+        Positive scale factor, read off the leading coefficients:
+        ``d = |num[-1]| / prod |outer_roots|``.
     outer_roots : ndarray
         Roots of modulus > 1, in the deterministic root order.
     inner_roots : ndarray
@@ -267,15 +206,17 @@ def spectral_factorize(num):
 
     Writes ``N(z) = d * |q(z)|**2`` with ``q`` monic and root-free in the
     closed unit disk.  The roots of ``z**k * N(z)`` come in pairs
-    ``(alpha, 1/conj(alpha))``; ``q`` collects the outer ones and ``d`` is
-    fixed by point matching, preferring the point ``z = 1`` when ``N`` is
-    not small there.
+    ``(alpha, 1/conj(alpha))``, and ``q`` collects the outer ones.  On
+    the circle ``z**k * N(z) = num[-1] * prod(-1/conj(alpha)) * q(z) *
+    prod(1 - conj(alpha) z)`` and ``|prod(1 - conj(alpha) z)| = |q(z)|``,
+    so ``d = |num[-1]| / prod |alpha|``.
 
     Parameters
     ----------
-    num : LaurentPoly
-        Hermitian-symmetric Laurent polynomial, strictly positive on the
-        unit circle.
+    num : array_like of complex
+        The ``2k + 1`` ascending coefficients of ``z**k * N(z)``, with
+        ``num[2k - j] == conj(num[j])`` and ``N`` strictly positive on the
+        unit circle.  Zero padding at both ends is dropped.
 
     Returns
     -------
@@ -284,8 +225,8 @@ def spectral_factorize(num):
     Raises
     ------
     ValidationError
-        If ``num`` is not Hermitian-symmetric or falls below
-        ``-1e-12 * max|coeff|`` on the validation grid.
+        If ``num`` has even length, is zero, is not Hermitian-symmetric
+        or falls below ``-1e-12 * max|coeff|`` on the validation grid.
     BoundaryRoot
         If a root lies within ``1e-8`` of the unit circle, or the grid
         minimum is in ``[-1e-12 * max|coeff|, 0]``.
@@ -293,21 +234,28 @@ def spectral_factorize(num):
         Propagated from root finding, or if the inner/outer root pairing
         fails.
     ResidualTooLarge
-        If a coefficient of ``num`` or ``|q|**2`` at the matching point
-        overflows, or the factorization identity fails on the 64-point
-        check grid.
+        If a coefficient of ``num`` overflows, or the factorization
+        identity fails on the 64-point check grid.
     """
-    if not num.coeffs:
-        raise ValidationError("cannot factor the zero Laurent polynomial")
-    k = num.bandwidth
-    maxc = max(abs(v) for v in num.coeffs.values())
+    num = np.asarray(num, dtype=complex).ravel()
+    if num.size % 2 == 0:
+        raise ValidationError(f"trigonometric polynomial needs 2k + 1 coefficients, got {num.size}")
+    maxc = float(np.max(np.abs(num)))
+    if maxc == 0.0:
+        raise ValidationError("cannot factor the zero trigonometric polynomial")
     if not np.isfinite(maxc):
         raise ResidualTooLarge(f"weight numerator coefficient overflows ({maxc:.3e})")
-    if num.hermitian_defect() > 1e-12 * maxc:
-        raise ValidationError("input Laurent polynomial is not Hermitian-symmetric")
+    if np.max(np.abs(num - np.conj(num[::-1]))) > 1e-12 * maxc:
+        raise ValidationError("input trigonometric polynomial is not Hermitian-symmetric")
+    while num[0] == 0 and num[-1] == 0:
+        num = num[1:-1]
+    k = num.size // 2
+
+    def on_circle(z):
+        return (np.conj(z) ** k * poly_eval(num, z)).real
 
     grid = np.exp(2j * np.pi * np.arange(4 * k + 16) / (4 * k + 16))
-    low = float(np.min(num.eval(grid).real))
+    low = float(np.min(on_circle(grid)))
     if -1e-12 * maxc <= low <= 0.0:
         # A nonnegative numerator that vanishes on the circle has a root there.
         raise BoundaryRoot(
@@ -318,19 +266,14 @@ def spectral_factorize(num):
         raise ValidationError("weight numerator is not strictly positive on the circle")
 
     if k == 0:
-        d = float(num.coeffs.get(0, 0j).real)
         return Factorization(
             q=np.ones(1, dtype=complex),
-            d=d,
+            d=float(num[0].real),
             outer_roots=np.zeros(0, dtype=complex),
             inner_roots=np.zeros(0, dtype=complex),
         )
 
-    coeffs = np.zeros(2 * k + 1, dtype=complex)
-    for j, v in num.coeffs.items():
-        coeffs[j + k] = v
-    roots = find_roots(coeffs)
-
+    roots = find_roots(num)
     dist = np.abs(np.abs(roots) - 1.0)
     if np.min(dist) <= _BOUNDARY_TOL:
         raise BoundaryRoot(
@@ -350,31 +293,14 @@ def spectral_factorize(num):
         )
 
     q = poly_from_roots(outer)
-
-    match_grid = np.exp(2j * np.pi * np.arange(24) / 24)
-    nvals = num.eval(match_grid).real
-    n_at_one = float(num.eval(1.0 + 0j).real)
-    if n_at_one >= 0.1 * float(np.max(np.abs(nvals))):
-        x = 1.0 + 0j
-        nx = n_at_one
-    else:
-        idx = int(np.argmax(np.abs(nvals)))
-        x = match_grid[idx]
-        nx = float(nvals[idx])
-    qx = poly_eval(q, x)
-    try:
-        d = nx / float(abs(qx) ** 2)
-    except OverflowError:
-        raise ResidualTooLarge(
-            f"point matching overflows: |q| = {abs(qx):.3e} at the matching point"
-        ) from None
-    if d <= 0.0:
-        raise ResidualTooLarge("point matching produced a nonpositive scale d")
+    d = float(abs(num[-1]) / np.prod(np.abs(outer)))
 
     check = np.exp(2j * np.pi * np.arange(64) / 64)
-    resid = np.max(np.abs(num.eval(check) - d * np.abs(poly_eval(q, check)) ** 2))
-    if resid > 1e-9 * maxc:
+    resid = float(np.max(np.abs(on_circle(check) - d * np.abs(poly_eval(q, check)) ** 2)))
+    # "not <=" so that a NaN residual (d = 0 from an overflowed root
+    # product, times an infinite |q|) trips too.
+    if not resid <= 1e-9 * maxc:
         raise ResidualTooLarge(
             f"factorization identity residual {resid:.3e} exceeds 1e-9 * {maxc:.3e}"
         )
-    return Factorization(q=q, d=float(d), outer_roots=outer, inner_roots=inner)
+    return Factorization(q=q, d=d, outer_roots=outer, inner_roots=inner)

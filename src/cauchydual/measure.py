@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import LaurentPoly, laurent_mul
 from .errors import ParseError, ValidationError
 
 __all__ = [
@@ -202,13 +201,14 @@ def moment(mu, l):
 
 
 def weight_numerator(mu):
-    """Boundary numerator of the Dirichlet weight as a Laurent polynomial.
+    """Boundary numerator of the Dirichlet weight, as ``z**k * N(z)``.
 
-    Builds ``N(z) = prod_k |z - zeta_k|**2 + sum_k gamma_k *
-    prod_{j != k} |z - zeta_j|**2``, which on the circle equals
-    ``(1 + sum_k gamma_k / |z - zeta_k|**2) * prod_k |z - zeta_k|**2``.
-    The result is Hermitian-symmetric with bandwidth equal to the number
-    of atoms.
+    ``N(z) = prod_j |z - zeta_j|**2 + sum_j gamma_j * prod_{i != j}
+    |z - zeta_i|**2``, which on the circle equals ``(1 + sum_j gamma_j /
+    |z - zeta_j|**2) * prod_j |z - zeta_j|**2``.  With ``z * |z - zeta|**2
+    = -zeta + 2z - conj(zeta) z**2`` for ``|z| = |zeta| = 1``, ``z**k * N``
+    is a polynomial of degree ``2k`` whose leading coefficient is ``(-1)**k
+    * conj(prod zeta_j)``.
 
     Parameters
     ----------
@@ -216,21 +216,22 @@ def weight_numerator(mu):
 
     Returns
     -------
-    LaurentPoly
+    ndarray
+        The ``2k + 1`` ascending coefficients of ``z**k * N(z)``, where
+        ``k`` is the number of atoms.  They are exactly Hermitian:
+        ``num[2k - j] == conj(num[j])`` bit for bit.
     """
-    factors = [
-        LaurentPoly({0: 2.0, 1: -np.conj(z), -1: -z}) for z in mu.points
-    ]
+    factors = [np.array([-z, 2.0, -np.conj(z)]) for z in mu.points]
 
-    def prod(items):
-        out = LaurentPoly({0: 1.0})
+    def prod(start, items):
+        out = np.array(start, dtype=complex)
         for f in items:
-            out = laurent_mul(out, f)
+            out = np.convolve(out, f)
         return out
 
-    total = dict(prod(factors).coeffs)
-    for k, gamma in enumerate(mu.weights):
-        part = prod([factors[j] for j in range(mu.k) if j != k])
-        for key, val in part.coeffs.items():
-            total[key] = total.get(key, 0j) + gamma * val
-    return LaurentPoly(total)
+    total = prod([1.0], factors)
+    for j, gamma in enumerate(mu.weights):
+        total += prod([0.0, gamma, 0.0], factors[:j] + factors[j + 1 :])
+    # Averaging with the conjugate reverse makes the symmetry exact; the
+    # halves keep a coefficient near the float maximum finite.
+    return 0.5 * total + 0.5 * np.conj(total[::-1])

@@ -75,10 +75,9 @@ def _gate(num, name, checks):
 
 
 def _canonical_quartic():
-    # Coefficient of z^j in the polynomial form of the weight numerator
-    # of delta_1 + delta_i is i * N.coeffs[j - 2].
-    numer = weight_numerator(parse_measure("1;i"))
-    return np.array([1j * numer.coeffs.get(j - 2, 0j) for j in range(5)])
+    # The weight numerator of delta_1 + delta_i holds the ascending
+    # coefficients of z^2 * N(z); times i they are the quartic.
+    return 1j * weight_numerator(parse_measure("1;i"))
 
 
 def test_criterion_01_quartic_roots():

@@ -126,7 +126,7 @@ def test_analyze_non_finite_atom_exits_2(capsys, text):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--skip-oracle", "--measure", "1:w=1e308"], "point matching overflows: |q| = 1.000e+308"),
+        (["--skip-oracle", "--measure", "1:w=1e308"], "factorization identity residual inf exceeds 1e-9 * 1.000e+308"),
         (["--skip-oracle", "--measure", "1:w=1e308;i"], "weight numerator coefficient overflows (inf)"),
         (["--skip-oracle", "--measure", "1:w=1e154"], "coefficient matrix overflows (max |A| 1.000e+308)"),
         (["--trunc", "48", "--measure", "1:w=1e20"], "SingularGram: Gram pivot 0 of 48"),

@@ -1,4 +1,4 @@
-"""Polynomial core: evaluation, roots, Laurent arithmetic, factorization."""
+"""Polynomial core: evaluation, roots, factorization."""
 
 import re
 
@@ -8,12 +8,10 @@ import pytest
 
 from cauchydual import (
     BoundaryRoot,
-    LaurentPoly,
     NonConvergence,
     ValidationError,
     build_report,
     find_roots,
-    laurent_mul,
     parse_measure,
     poly_derivative,
     poly_eval,
@@ -107,18 +105,10 @@ def test_find_roots_cross_oracle():
         _match_sets(got, want, 1e-6)
 
 
-def _numerator_coeffs(mu):
-    num = weight_numerator(mu)
-    c = np.zeros(2 * num.bandwidth + 1, dtype=complex)
-    for j, v in num.coeffs.items():
-        c[j + num.bandwidth] = v
-    return c
-
-
 def test_find_roots_matches_mpmath(seeded_measure):
     rng = np.random.default_rng(15)
     polys = [QUARTIC]
-    polys += [_numerator_coeffs(seeded_measure(rng, k)) for k in range(1, 9) for _ in range(2)]
+    polys += [weight_numerator(seeded_measure(rng, k)) for k in range(1, 9) for _ in range(2)]
     with mpmath.workdps(40):
         for c in polys:
             want = mpmath.polyroots(
@@ -154,21 +144,9 @@ def test_find_roots_rejects_degenerate():
         find_roots(np.array([1.0, 0.0], dtype=complex) * 0.0)
 
 
-def test_laurent_eval_and_defect():
-    lp = LaurentPoly({0: 2.0 + 0j, 1: -1.0 + 0j, -1: -1.0 + 0j})
-    assert lp.hermitian_defect() <= 1e-15
-    z = np.exp(0.7j)
-    assert abs(lp.eval(z) - abs(z - 1.0) ** 2) <= 1e-12
-    skew = LaurentPoly({1: 1.0 + 0j})
-    assert skew.hermitian_defect() == 1.0
-
-
-def test_laurent_mul_brute_force():
-    a = LaurentPoly({0: 1.0 + 0j, 1: 2.0 - 1j})
-    b = LaurentPoly({-1: 0.5j, 2: 3.0 + 0j})
-    prod = laurent_mul(a, b)
-    grid = np.exp(2j * np.pi * np.arange(7) / 7)
-    assert np.max(np.abs(prod.eval(grid) - a.eval(grid) * b.eval(grid))) <= 1e-12
+def _on_circle(num, z):
+    k = len(num) // 2
+    return (np.conj(z) ** k * poly_eval(num, z)).real
 
 
 def test_spectral_factorize_properties(property_measures):
@@ -180,7 +158,7 @@ def test_spectral_factorize_properties(property_measures):
         assert np.all(np.abs(fact.inner_roots) < 1.0)
         assert fact.q[-1] == 1.0
         grid = np.exp(2j * np.pi * np.arange(64) / 64)
-        nvals = num.eval(grid).real
+        nvals = _on_circle(num, grid)
         model_vals = fact.d * np.abs(poly_eval(fact.q, grid)) ** 2
         assert np.max(np.abs(nvals - model_vals)) <= 1e-9 * np.max(np.abs(nvals))
 
@@ -206,9 +184,7 @@ def test_spectral_factorize_boundary_root():
     # nodes so the near-zero dip is invisible to the grid and the
     # root-distance gate is the one that fires.
     alpha = (1.0 + 5e-9) * np.exp(1j * np.pi / 20.0)
-    num = LaurentPoly(
-        {0: 1.0 + abs(alpha) ** 2, 1: -np.conj(alpha), -1: -alpha}
-    )
+    num = np.array([-alpha, 1.0 + abs(alpha) ** 2, -np.conj(alpha)])
     with pytest.raises(BoundaryRoot):
         spectral_factorize(num)
 
@@ -217,13 +193,62 @@ def test_spectral_factorize_rejects_near_zero_dip():
     # The same root rotated onto a grid node makes the grid minimum
     # round-off of 0, which names the same boundary root.
     r0 = 1.0 + 5e-9
-    num = LaurentPoly({0: 1.0 + r0 * r0, 1: -r0 + 0j, -1: -r0 + 0j})
+    num = np.array([-r0, 1.0 + r0 * r0, -r0], dtype=complex)
     with pytest.raises(BoundaryRoot, match="is round-off of 0 at coefficient scale"):
         spectral_factorize(num)
 
 
 def test_spectral_factorize_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        spectral_factorize(LaurentPoly({0: -1.0 + 0j}))
-    with pytest.raises(ValidationError):
-        spectral_factorize(LaurentPoly({0: 1.0 + 0j, 1: 5.0 + 0j}))
+    cases = [
+        (np.array([-1.0 + 0j]), "not strictly positive"),
+        (np.array([0.0, 1.0, 5.0], dtype=complex), "not Hermitian-symmetric"),
+        (np.array([1j, 3.0, 1j]), "not Hermitian-symmetric"),
+        (np.array([1.0, 2.0], dtype=complex), "needs 2k \\+ 1 coefficients, got 2"),
+        (np.array([], dtype=complex), "needs 2k \\+ 1 coefficients, got 0"),
+        (np.zeros(5, dtype=complex), "zero trigonometric polynomial"),
+    ]
+    for num, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            spectral_factorize(num)
+
+
+def test_spectral_factorize_drops_symmetric_zero_padding():
+    # [0, c, 0] is the constant c written with bandwidth 1.
+    for padded in ([0.0, 2.5, 0.0], [0.0, 0.0, 2.5, 0.0, 0.0]):
+        fact = spectral_factorize(np.array(padded, dtype=complex))
+        assert fact.d == 2.5
+        assert fact.q.tolist() == [1.0 + 0j]
+        assert fact.outer_roots.size == 0 and fact.inner_roots.size == 0
+    padded = np.concatenate(([0.0], weight_numerator(parse_measure("1;i")), [0.0]))
+    want = spectral_factorize(weight_numerator(parse_measure("1;i")))
+    got = spectral_factorize(padded)
+    assert got.d == want.d
+    assert np.array_equal(got.q, want.q)
+
+
+def test_spectral_factorize_d_matches_mpmath(seeded_measure):
+    # d = |num[-1]| / prod |alpha| is checked against the same ratio at
+    # 50 digits, with the outer roots from mpmath.polyroots.
+    rng = np.random.default_rng(16)
+    with mpmath.workdps(50):
+        for k in range(1, 9):
+            mu = seeded_measure(rng, k)
+            factors = [[-mpmath.mpc(z.real, z.imag), 2, -mpmath.mpc(z.real, -z.imag)] for z in mu.points]
+
+            def prod(start, items):
+                out = list(start)
+                for f in items:
+                    out = [
+                        sum(out[i] * f[n - i] for i in range(len(out)) if 0 <= n - i < 3)
+                        for n in range(len(out) + 2)
+                    ]
+                return out
+
+            num = prod([mpmath.mpf(1)], factors)
+            for j, gamma in enumerate(mu.weights):
+                part = prod([0, mpmath.mpf(gamma), 0], factors[:j] + factors[j + 1 :])
+                num = [a + b for a, b in zip(num, part)]
+            roots = mpmath.polyroots(num[::-1], maxsteps=200, extraprec=100)
+            want = abs(num[-1]) / mpmath.fprod(abs(r) for r in roots if abs(r) > 1)
+            got = spectral_factorize(weight_numerator(mu)).d
+            assert abs(got - float(want)) <= 5e-14 * float(want)

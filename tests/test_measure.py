@@ -10,6 +10,7 @@ from cauchydual import (
     make_measure,
     moment,
     parse_measure,
+    poly_eval,
     weight_numerator,
 )
 
@@ -95,28 +96,31 @@ def test_moment_law(property_measures):
 
 def test_weight_numerator_canonical_table(canonical_mu):
     num = weight_numerator(canonical_mu)
-    want = {0: 8.0 + 0j, 1: -3.0 + 3.0j, -1: -3.0 - 3.0j, 2: -1j, -2: 1j}
-    assert set(num.coeffs) == set(want)
-    for power, value in want.items():
-        assert abs(num.coeffs[power] - value) <= 1e-12
+    want = np.array([1j, -3.0 - 3.0j, 8.0, -3.0 + 3.0j, -1j])
+    assert num.shape == want.shape
+    assert np.max(np.abs(num - want)) <= 1e-12
 
 
 def test_weight_numerator_double_mass_at_one():
     num = weight_numerator(make_measure([1.0 + 0j], [2.0]))
-    want = {0: 4.0 + 0j, 1: -1.0 + 0j, -1: -1.0 + 0j}
-    assert set(num.coeffs) == set(want)
-    for power, value in want.items():
-        assert abs(num.coeffs[power] - value) <= 1e-12
+    want = np.array([-1.0, 4.0, -1.0], dtype=complex)
+    assert num.shape == want.shape
+    assert np.max(np.abs(num - want)) <= 1e-12
+
+
+def _on_circle(num, z):
+    k = len(num) // 2
+    return np.conj(z) ** k * poly_eval(num, z)
 
 
 def test_weight_numerator_nonnegative_on_circle(property_measures):
     grid = np.exp(2j * np.pi * np.arange(101) / 101)
     for mu in property_measures:
         num = weight_numerator(mu)
-        vals = num.eval(grid)
+        vals = _on_circle(num, grid)
         assert np.max(np.abs(vals.imag)) <= 1e-10 * np.max(np.abs(vals.real))
         assert np.min(vals.real) >= -1e-10 * np.max(vals.real)
-        assert num.bandwidth == mu.k
+        assert num.shape == (2 * mu.k + 1,)
 
 
 def test_quartic_matches_weight_numerator(canonical_mu):
@@ -124,6 +128,20 @@ def test_quartic_matches_weight_numerator(canonical_mu):
     # z^4 - (3+3i) z^3 + 8i z^2 + (3-3i) z - 1.
     num = weight_numerator(canonical_mu)
     quartic = np.array([-1.0, 3.0 - 3.0j, 8.0j, -(3.0 + 3.0j), 1.0])
-    for idx, coeff in enumerate(quartic):
-        power = idx - 2
-        assert abs(1j * num.coeffs.get(power, 0.0) - coeff) <= 1e-12
+    assert np.max(np.abs(1j * num - quartic)) <= 1e-12
+
+
+def test_weight_numerator_is_bitwise_hermitian_and_matches_distances(property_measures, seeded_measure):
+    rng = np.random.default_rng(17)
+    measures = property_measures + [seeded_measure(rng, k) for k in range(1, 9)]
+    measures.append(make_measure([1.0 + 0j, np.exp(0.01j)], [1e-3, 1e3]))
+    grid = np.exp(2j * np.pi * np.arange(97) / 97)
+    for mu in measures:
+        num = weight_numerator(mu)
+        assert np.array_equal(num, np.conj(num[::-1]))
+        dist2 = np.abs(grid[:, None] - mu.points[None, :]) ** 2
+        want = np.prod(dist2, axis=1) + sum(
+            g * np.prod(np.delete(dist2, j, axis=1), axis=1) for j, g in enumerate(mu.weights)
+        )
+        got = _on_circle(num, grid)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
