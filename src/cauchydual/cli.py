@@ -22,7 +22,7 @@ import time
 
 from .cdsp import sweep_angle
 from .debranges import build_identification, kernel_hb
-from .dirichlet import build_model, kernel_full, kernel_hat, kernel_tilde
+from .dirichlet import build_model, kernel_hat, kernel_tilde
 from .errors import ParseError, ToolkitError, ValidationError
 from .measure import _FLOAT, _NUMBER_RE, parse_measure
 from .report import build_report, render_csv, render_json, validate_report
@@ -106,10 +106,11 @@ def _cmd_kernel(args):
         raise ValidationError("kernel points must lie in the open unit disk")
     model = build_model(mu)
     ident = build_identification(model)
+    k_tilde, k_hat = kernel_tilde(model, z, lam), kernel_hat(model, z, lam)
     doc = {
-        "k_tilde": kernel_tilde(model, z, lam),
-        "k_hat": kernel_hat(model, z, lam),
-        "k": kernel_full(model, z, lam),
+        "k_tilde": k_tilde,
+        "k_hat": k_hat,
+        "k": complex(k_tilde + k_hat),
         "kernel_hb": kernel_hb(ident, z, lam),
     }
     sys.stdout.write(render_json(doc))

@@ -234,8 +234,8 @@ def spectral_factorize(num):
         Propagated from root finding, or if the inner/outer root pairing
         fails.
     ResidualTooLarge
-        If a coefficient of ``num`` overflows, or the factorization
-        identity fails on the 64-point check grid.
+        If a coefficient of ``num`` overflows, root finding overflows,
+        or the factorization identity fails on the 64-point check grid.
     """
     num = np.asarray(num, dtype=complex).ravel()
     if num.size % 2 == 0:
@@ -273,7 +273,11 @@ def spectral_factorize(num):
             inner_roots=np.zeros(0, dtype=complex),
         )
 
-    roots = find_roots(num)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            roots = find_roots(num)
+    except FloatingPointError:
+        raise ResidualTooLarge(f"root finding overflows at coefficient scale {maxc:.3e}") from None
     dist = np.abs(np.abs(roots) - 1.0)
     if np.min(dist) <= _BOUNDARY_TOL:
         raise BoundaryRoot(
@@ -296,7 +300,11 @@ def spectral_factorize(num):
     d = float(abs(num[-1]) / np.prod(np.abs(outer)))
 
     check = np.exp(2j * np.pi * np.arange(64) / 64)
-    resid = float(np.max(np.abs(on_circle(check) - d * np.abs(poly_eval(q, check)) ** 2)))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            resid = float(np.max(np.abs(on_circle(check) - d * np.abs(poly_eval(q, check)) ** 2)))
+    except FloatingPointError:
+        resid = np.inf
     # "not <=" so that a NaN residual (d = 0 from an overflowed root
     # product, times an infinite |q|) trips too.
     if not resid <= 1e-9 * maxc:

@@ -116,8 +116,13 @@ def compute_A(model):
     herm = float(np.max(np.abs(a - a.conj().T)))
     if herm > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
         raise ResidualTooLarge(f"coefficient matrix Hermitian defect {herm:.3e}")
-    a = (a + a.conj().T) / 2.0
-    if not np.all(np.isfinite(a)):
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            a = (a + a.conj().T) / 2.0
+        finite = np.all(np.isfinite(a))
+    except FloatingPointError:
+        finite = False
+    if not finite:
         raise ResidualTooLarge(
             f"coefficient matrix overflows (max |A| {float(np.max(np.abs(ahat))):.3e})"
         )

@@ -33,7 +33,8 @@ class ValidationError(ToolkitError):
 
 
 class NonConvergence(ToolkitError):
-    """An iterative routine exhausted its budget or failed a residual gate."""
+    """A root or contraction gate failed: root backward error, inner/outer
+    root pairing, or the Cauchy dual's contraction check."""
 
 
 class BoundaryRoot(ToolkitError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ResidualTooLarge, ValidationError
 
 __all__ = [
     "MeasureSpec",
@@ -220,6 +220,11 @@ def weight_numerator(mu):
         The ``2k + 1`` ascending coefficients of ``z**k * N(z)``, where
         ``k`` is the number of atoms.  They are exactly Hermitian:
         ``num[2k - j] == conj(num[j])`` bit for bit.
+
+    Raises
+    ------
+    ResidualTooLarge
+        If a coefficient overflows.
     """
     factors = [np.array([-z, 2.0, -np.conj(z)]) for z in mu.points]
 
@@ -234,4 +239,9 @@ def weight_numerator(mu):
         total += prod([0.0, gamma, 0.0], factors[:j] + factors[j + 1 :])
     # Averaging with the conjugate reverse makes the symmetry exact; the
     # halves keep a coefficient near the float maximum finite.
-    return 0.5 * total + 0.5 * np.conj(total[::-1])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return 0.5 * total + 0.5 * np.conj(total[::-1])
+    except FloatingPointError:
+        scale = float(np.max(np.abs(total)))
+        raise ResidualTooLarge(f"weight numerator coefficient overflows ({scale:.3e})") from None

@@ -7,12 +7,12 @@ import pytest
 
 from cauchydual import cdsp, make_measure, selftest
 
-CHECKS = {check.check_id: check for check in selftest._registry()}
+CHECKS = {check.check_id: check for check in selftest.CHECKS}
 
 
 @pytest.fixture(scope="module")
-def ctx():
-    return selftest._context()
+def observed():
+    return selftest._observe()
 
 
 def _nudged(observed):
@@ -22,25 +22,42 @@ def _nudged(observed):
         yield observed * (1 + 1e-13 * rel) + 1e-15 * shift
 
 
+def test_table_ids_are_unique():
+    ids = [check.check_id for check in selftest.CHECKS]
+    assert len(ids) == len(set(ids)) == 36
+    assert selftest.list_checks() == ids
+
+
+def test_list_checks_builds_no_analysis(monkeypatch):
+    def refuse(mu):
+        raise AssertionError("list_checks built a model")
+
+    for module in (selftest, cdsp):
+        monkeypatch.setattr(module, "build_model", refuse)
+    assert selftest.list_checks()[0] == "roots.quartic.1"
+
+
+def test_observe_keys_match_the_table(observed):
+    assert set(observed) == set(CHECKS)
+
+
 @pytest.mark.parametrize("check_id", selftest.list_checks())
-def test_row_bytes_survive_roundoff(check_id, ctx):
+def test_row_bytes_survive_roundoff(check_id, observed):
     check = CHECKS[check_id]
-    observed, expected, tol = check.fn(ctx)
-    base = selftest._render(check, observed, expected, tol)
+    base = selftest._render(check, observed[check_id])
     assert base.status == "PASS"
-    if isinstance(observed, str):
+    if isinstance(observed[check_id], str):
         return
-    for value in _nudged(observed):
-        assert selftest._render(check, value, expected, tol).line == base.line
+    for value in _nudged(observed[check_id]):
+        assert selftest._render(check, value).line == base.line
 
 
 def test_quadrature_row_same_on_both_machines():
     # The value pinned in docs/reproduction.md and one seen elsewhere;
     # they differ at the 11th digit from platform summation order.
     check = CHECKS["gram.quadrature"]
-    tol = selftest._QUAD_SPOT_TOL
     lines = {
-        selftest._render(check, value, 0.0, tol).line
+        selftest._render(check, value).line
         for value in (7.03896780762358e-05, 7.03896780781199e-05)
     }
     assert lines == {"PASS gram.quadrature        observed=0.00007 bound=0.02"}
@@ -77,33 +94,35 @@ def _perturbed(observed, expected):
     return complex(observed) + 1e-3 * (1.0 + ref)
 
 
-def test_failed_rows_show_the_mismatch(ctx):
+def test_failed_rows_show_the_mismatch(observed):
     failed = set()
     for check_id, check in CHECKS.items():
-        observed, expected, tol = check.fn(ctx)
-        result = selftest._render(check, _perturbed(observed, expected), expected, tol)
+        result = selftest._render(check, _perturbed(observed[check_id], check.expected))
         if result.status != "FAIL":
             continue
         failed.add(check_id)
         if "expected=" in result.line:
-            observed = _field(result.line, "observed").split("=", 1)[1]
+            shown = _field(result.line, "observed").split("=", 1)[1]
             expected = _field(result.line, "expected").split("=", 1)[1]
-            assert observed != expected, result.line
+            assert shown != expected, result.line
     assert "cdsp.s_offdiag" in failed
 
 
 def test_selftest_builds_the_reference_analysis_once(monkeypatch):
-    models, kernel_runs = [], []
+    models, root_runs, passes = [], [], []
     for module in (selftest, cdsp):
         monkeypatch.setattr(
             module, "build_model",
             lambda m, real=module.build_model: models.append(m) or real(m),
         )
     monkeypatch.setattr(
-        selftest, "_kernel_checks",
-        lambda *args, real=selftest._kernel_checks: kernel_runs.append(args) or real(*args),
+        selftest, "find_roots",
+        lambda *args, real=selftest.find_roots, **kw: root_runs.append(args) or real(*args, **kw),
+    )
+    monkeypatch.setattr(
+        selftest, "_observe", lambda real=selftest._observe: passes.append(1) or real()
     )
     assert selftest.run_selftest()[1] == 0
     reference = make_measure([1.0 + 0j, 1j], [1.0, 1.0])
     assert sum(mu == reference for mu in models) == 1
-    assert len(kernel_runs) == 1
+    assert (len(root_runs), len(passes)) == (1, 1)
