@@ -33,10 +33,10 @@ coupling determinant) are those of a canonical rotation frame: atoms sorted
 by principal argument and rotated so the first atom sits at 1.  Rotating a
 measure is a unitary change of the whole picture, so the verdict is frame
 independent, but the raw scalars are not; the canonical frame pins them.
-They are read off the measure's own model by the rotation identity, with no
-second model: rotating by ``rho`` sends the outer roots to ``rho * alpha``
-and ``A`` to ``U A U*`` with ``U = diag(conj(rho)**(i+1))``, so the frame's
-polynomials are ``conj(rho)**(j+1) * p_j(rho z)``.
+``_frame_scalars`` reads them off the measure's own model, with no second
+model, by the rotation identity: rotating by ``rho`` sends the outer roots
+to ``rho * alpha`` and ``A`` to ``U A U*`` with ``U = diag(conj(rho)**(i+1))``,
+so the frame's polynomials are ``conj(rho)**(j+1) * p_j(rho z)``.
 """
 
 from __future__ import annotations
@@ -737,6 +737,8 @@ class CdspVerdict:
         canonical frame (None when not computed).
     root_products : tuple of complex
         ``alpha_r * conj(alpha_t)`` for ``r != t`` in the canonical frame.
+    coupling_det : complex or None
+        :func:`coupling_determinant` in the canonical frame (None when not computed).
     citations : tuple of str
         Human-readable statements backing the verdict.
     """
@@ -744,6 +746,7 @@ class CdspVerdict:
     verdict: str
     s_offdiag: complex | None
     root_products: tuple
+    coupling_det: complex | None
     citations: tuple
 
 
@@ -768,37 +771,39 @@ def canonical_frame(mu):
     return make_measure(new_pts, mu.weights)
 
 
-def _canonical_values(mu, analysis=None):
-    """Outer roots ``alpha`` of :func:`canonical_frame` of ``mu`` and values
-    ``V`` whose rows pair to that frame's overlaps
-    ``W_rt = sum_j p_j(alpha_r) conj(p_j(alpha_t)) = V[r] @ conj(V[t])``.
+def _frame_scalars(mu, analysis):
+    """Overlap sum, root products, threshold scale and coupling determinant
+    of a two-atom ``mu`` in the canonical frame, read off ``analysis``, the
+    ``(model, ident)`` of ``mu`` itself, from one evaluation of the ``p_j``.
 
-    Both are read off ``analysis``, the ``(model, ident)`` of ``mu`` itself
-    (built here when None).  With ``rho = conj(zeta_1) / |zeta_1|`` the
-    frame's outer roots are ``rho`` times those of ``mu``, sorted into root
-    order, and its polynomials are ``conj(rho)**(j+1) * p_j(rho z)``;
-    ``V[r, j] = p_j(rho * alpha_r)`` drops only those unimodular factors.
+    With ``rho = conj(zeta_1) / |zeta_1|`` the frame's outer roots are
+    ``rho`` times those of ``mu``, sorted into root order, and its
+    polynomials are ``conj(rho)**(j+1) * p_j(rho z)``; ``V[r, j] =
+    p_j(rho * alpha_r)`` drops only those unimodular factors, so the
+    frame's overlaps ``W_rt = sum_j p_j(alpha_r) conj(p_j(alpha_t))`` are
+    ``V[r] @ conj(V[t])``.
     """
-    if analysis is None:
-        model = build_model(mu)
-        analysis = model, build_identification(model)
     model, ident = analysis
     rho = np.conj(mu.points[0]) / abs(mu.points[0])
     alpha = _sort_roots(rho * model.fact.outer_roots)
     vals = np.array([[poly_eval(pj, rho * a) for pj in ident.p_polys] for a in alpha])
-    return alpha, vals
-
-
-def _overlap_scalars(frame):
-    """Canonical-frame overlap sum, root products, and threshold scale."""
-    alpha, vals = frame
-    w12 = complex(vals[0] @ np.conj(vals[1]))
+    overlap = [[complex(vals[r] @ np.conj(vals[t])) for t in range(2)] for r in range(2)]
     products = (
         complex(alpha[0] * np.conj(alpha[1])),
         complex(alpha[1] * np.conj(alpha[0])),
     )
     scale = float(np.max(np.abs(vals[0] * vals[1])))
-    return complex(w12 + np.conj(w12)), products, scale
+    total = 0j
+    for r in range(2):
+        for t in range(2):
+            dr = alpha[r] - alpha[1 - r]
+            dt = alpha[t] - alpha[1 - t]
+            total += (
+                overlap[r][t]
+                * (1.0 - 1.0 / (alpha[r] * np.conj(alpha[t]))) ** 2
+                / (alpha[r] ** 2 * np.conj(alpha[t]) ** 2 * dr * np.conj(dt))
+            )
+    return complex(overlap[0][1] + np.conj(overlap[0][1])), products, scale, complex(total)
 
 
 def _in_ray(product):
@@ -806,7 +811,7 @@ def _in_ray(product):
     return abs(product.imag) <= 1e-10 and product.real >= 1.0 - 1e-10
 
 
-def closed_form_test(mu):
+def closed_form_test(mu, analysis=None):
     """Closed-form subnormality verdict for the Cauchy dual of the shift.
 
     One atom and two antipodal atoms are the known subnormal cases.  For
@@ -818,35 +823,36 @@ def closed_form_test(mu):
     Parameters
     ----------
     mu : MeasureSpec
+    analysis : tuple, optional
+        ``(model, ident)`` of ``mu`` from :func:`build_model` and
+        :func:`build_identification`; built here when None.
 
     Returns
     -------
     CdspVerdict
     """
-    return _closed_form(mu, None)
-
-
-def _closed_form(mu, frame):
-    """:func:`closed_form_test`, reusing ``frame`` (the result of
-    :func:`_canonical_values`) for two atoms, or building it when None."""
     if mu.k != 2:
         if mu.k == 1:
-            return CdspVerdict("KnownSubnormal", None, (), (CITE_SINGLE_ATOM,))
-        return CdspVerdict("Inconclusive", None, (), (CITE_K_RANGE,))
-    pts = mu.points
-    if abs(pts[0] + pts[1]) <= 1e-9:
-        try:
-            s_offdiag, products, _ = _overlap_scalars(frame or _canonical_values(mu))
-        except ToolkitError:
-            s_offdiag, products = None, ()
-        return CdspVerdict("KnownSubnormal", s_offdiag, products, (CITE_ANTIPODAL,))
-    s_offdiag, products, scale = _overlap_scalars(frame or _canonical_values(mu))
+            return CdspVerdict("KnownSubnormal", None, (), None, (CITE_SINGLE_ATOM,))
+        return CdspVerdict("Inconclusive", None, (), None, (CITE_K_RANGE,))
+    antipodal = abs(mu.points[0] + mu.points[1]) <= 1e-9
+    try:
+        if analysis is None:
+            model = build_model(mu)
+            analysis = model, build_identification(model)
+        s_offdiag, products, scale, coupling = _frame_scalars(mu, analysis)
+    except ToolkitError:
+        if not antipodal:
+            raise
+        return CdspVerdict("KnownSubnormal", None, (), None, (CITE_ANTIPODAL,))
+    if antipodal:
+        return CdspVerdict("KnownSubnormal", s_offdiag, products, coupling, (CITE_ANTIPODAL,))
     nonzero = abs(s_offdiag) > 1e-8 * scale
     off_ray = all(not _in_ray(rp) for rp in products)
     if nonzero and off_ray:
         cites = (CITE_NOT_SUBNORMAL_OVERLAP, CITE_NOT_SUBNORMAL_RAY)
-        return CdspVerdict("NotSubnormal", s_offdiag, products, cites)
-    return CdspVerdict("Inconclusive", s_offdiag, products, (CITE_INCONCLUSIVE,))
+        return CdspVerdict("NotSubnormal", s_offdiag, products, coupling, cites)
+    return CdspVerdict("Inconclusive", s_offdiag, products, coupling, (CITE_INCONCLUSIVE,))
 
 
 def coupling_determinant(mu):
@@ -873,24 +879,8 @@ def coupling_determinant(mu):
     """
     if mu.k != 2:
         raise ValidationError("coupling determinant requires exactly two atoms")
-    return _coupling(_canonical_values(mu))
-
-
-def _coupling(frame):
-    """:func:`coupling_determinant` from a two-atom canonical ``frame``."""
-    alpha, vals = frame
-    total = 0j
-    for r in range(2):
-        for t in range(2):
-            w_rt = complex(vals[r] @ np.conj(vals[t]))
-            dr = alpha[r] - alpha[1 - r]
-            dt = alpha[t] - alpha[1 - t]
-            total += (
-                w_rt
-                * (1.0 - 1.0 / (alpha[r] * np.conj(alpha[t]))) ** 2
-                / (alpha[r] ** 2 * np.conj(alpha[t]) ** 2 * dr * np.conj(dt))
-            )
-    return complex(total)
+    model = build_model(mu)
+    return _frame_scalars(mu, (model, build_identification(model)))[3]
 
 
 @dataclass(frozen=True)

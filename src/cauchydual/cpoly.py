@@ -153,7 +153,7 @@ def find_roots(p, tol=1e-10):
     scale = poly_eval(np.abs(c), np.abs(z)).real
     backward = np.abs(poly_eval(c, z)) / np.where(scale > 0.0, scale, 1.0)
     worst = float(np.max(backward))
-    if worst > tol:
+    if not worst <= tol:
         raise NonConvergence(f"root backward error {worst:.3e} exceeds {tol:.1e}")
     return _sort_roots(z)
 

@@ -18,13 +18,11 @@ import numpy as np
 
 from .cdsp import (
     AGLER_ORDERS,
-    _canonical_values,
     _check_order,
     _check_size,
-    _closed_form,
-    _coupling,
     _oracle_run,
     build_truncation,
+    closed_form_test,
 )
 from .debranges import build_identification
 from .dirichlet import build_model
@@ -306,11 +304,7 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
         )
     model = build_model(mu)
     ident = build_identification(model)
-    # The verdict and the coupling read their canonical-frame values off
-    # this one model by the rotation identity.
-    frame = _canonical_values(mu, (model, ident)) if mu.k == 2 else None
-    verdict = _closed_form(mu, frame)
-    coupling = _coupling(frame) if frame else None
+    verdict = closed_form_test(mu, (model, ident))
     a, b, c = _canonical_form_constants(model)
 
     doc = {
@@ -348,7 +342,9 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
             if verdict.s_offdiag is not None
             else None,
             "root_products": _cvec(verdict.root_products),
-            "coupling_det": _cpx(coupling) if coupling is not None else None,
+            "coupling_det": _cpx(verdict.coupling_det)
+            if verdict.coupling_det is not None
+            else None,
             "citations": list(verdict.citations),
         },
         "oracle": None,

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdsp import (
-    _canonical_values,
-    _closed_form,
-    _coupling,
-    closed_form_test,
-    cross_energy,
-    gram_monomials,
-)
+from .cdsp import closed_form_test, cross_energy, gram_monomials
 from .cpoly import find_roots, poly_eval
 from .debranges import build_identification, kernel_hb
 from .dirichlet import build_model, kernel_full, o_mu_eval
@@ -171,14 +164,13 @@ def _quadrature_spot(mu):
 def _observe():
     """Every row's observed value, keyed by check id.
 
-    Builds the ``1;i`` model, identification, canonical frame and verdict
-    once, and finds the roots of the table's quartic once.
+    Builds the ``1;i`` model, identification and verdict once, and finds
+    the roots of the table's quartic once.
     """
     mu = make_measure([1.0 + 0j, 1j], [1.0, 1.0])
     model = build_model(mu)
     ident = build_identification(model)
-    frame = _canonical_values(mu, (model, ident))
-    verdict = _closed_form(mu, frame)
+    verdict = closed_form_test(mu, (model, ident))
     roots = find_roots(np.array([-1.0, 3.0 - 3.0j, 8.0j, -(3.0 + 3.0j), 1.0]), tol=1e-10)
     # The factorization constants: z^2 - a(1+i) z + b i and z^2 - c(1+i) z + d i.
     a = ((roots[0] + roots[1]) / (1.0 + 1j)).real
@@ -221,7 +213,7 @@ def _observe():
         "cdsp.known_antipodal": closed_form_test(
             make_measure([1.0 + 0j, -1.0 + 0j], [1.0, 1.0])
         ).verdict,
-        "cdsp.coupling_det": _coupling(frame),
+        "cdsp.coupling_det": verdict.coupling_det,
         "kernel.normalization": max(abs(kernel_full(model, z, 0.0 + 0j) - 1.0) for z in zs),
         "kernel.equality": max(
             abs(kernel_hb(ident, z, w) - kernel_full(model, z, w)) for z in zs for w in ws

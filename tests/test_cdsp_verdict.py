@@ -1,9 +1,13 @@
 """Closed-form verdict, canonical frame, coupling scalar, and sweeps."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from cauchydual import (
+    ResidualTooLarge,
+    SingularGram,
     ValidationError,
     build_identification,
     build_model,
@@ -127,9 +131,28 @@ def _rebuilt_frame(mu):
     return alpha, np.array([[poly_eval(pj, a) for pj in ident.p_polys] for a in alpha])
 
 
-def _frame_scalars(frame):
-    s_offdiag, products, scale = cdsp._overlap_scalars(frame)
-    return s_offdiag, products, scale, cdsp._coupling(frame)
+def _reference_scalars(frame):
+    """Overlap sum, root products, threshold scale and coupling determinant
+    of ``frame``, each by its own formula."""
+    alpha, vals = frame
+    w12 = complex(vals[0] @ np.conj(vals[1]))
+    products = (
+        complex(alpha[0] * np.conj(alpha[1])),
+        complex(alpha[1] * np.conj(alpha[0])),
+    )
+    scale = float(np.max(np.abs(vals[0] * vals[1])))
+    total = 0j
+    for r in range(2):
+        for t in range(2):
+            w_rt = complex(vals[r] @ np.conj(vals[t]))
+            dr = alpha[r] - alpha[1 - r]
+            dt = alpha[t] - alpha[1 - t]
+            total += (
+                w_rt
+                * (1.0 - 1.0 / (alpha[r] * np.conj(alpha[t]))) ** 2
+                / (alpha[r] ** 2 * np.conj(alpha[t]) ** 2 * dr * np.conj(dt))
+            )
+    return complex(w12 + np.conj(w12)), products, scale, complex(total)
 
 
 def _rotated_pairs(rng, count):
@@ -153,8 +176,8 @@ def test_rotation_identity_matches_the_rebuilt_canonical_frame():
     wraps = 0
     for mu, wrapped in _rotated_pairs(np.random.default_rng(1409), 200):
         wraps += wrapped
-        got = _frame_scalars(cdsp._canonical_values(mu, _analysis(mu)))
-        s_ref, p_ref, scale, c_ref = _frame_scalars(_rebuilt_frame(mu))
+        got = cdsp._frame_scalars(mu, _analysis(mu))
+        s_ref, p_ref, scale, c_ref = _reference_scalars(_rebuilt_frame(mu))
         assert abs(got[0] - s_ref) <= 1e-10 * scale
         assert abs(got[3] - c_ref) <= 1e-10 * abs(c_ref)
         for g, want in zip(got[1], p_ref, strict=True):
@@ -167,11 +190,57 @@ def test_rotation_identity_matches_the_rebuilt_canonical_frame():
 )
 def test_rotation_identity_is_bit_identical_with_the_first_atom_at_one(text):
     mu = parse_measure(text)
-    ref = _frame_scalars(_rebuilt_frame(mu))
-    assert _frame_scalars(cdsp._canonical_values(mu, _analysis(mu))) == ref
+    ref = _reference_scalars(_rebuilt_frame(mu))
+    assert cdsp._frame_scalars(mu, _analysis(mu)) == ref
     verdict = closed_form_test(mu)
-    assert (verdict.s_offdiag, verdict.root_products) == ref[:2]
+    assert (verdict.s_offdiag, verdict.root_products, verdict.coupling_det) == (ref[0], ref[1], ref[3])
     assert coupling_determinant(mu) == ref[3]
+
+
+def _hex(value):
+    """A complex written out in hex, bit for bit; anything else as is."""
+    return (value.real.hex(), value.imag.hex()) if isinstance(value, complex) else value
+
+
+def _bits(verdict):
+    """The verdict's fields, every complex written out in hex."""
+    return [tuple(map(_hex, f)) if isinstance(f, tuple) else _hex(f) for f in astuple(verdict)]
+
+
+def _spread_measures(rng, k, count):
+    """``count`` measures of ``k`` atoms about 360/k degrees apart, jittered
+    by up to a sixth of the spacing, with weights log-uniform in [0.3, 3]."""
+    for _ in range(count):
+        spacing = 360.0 / k
+        angles = rng.uniform(0.0, 360.0) + spacing * (np.arange(k) + rng.uniform(-1, 1, k) / 6)
+        weights = np.exp(rng.uniform(np.log(0.3), np.log(3.0), k))
+        yield make_measure(np.exp(1j * np.deg2rad(angles)), weights)
+
+
+def test_verdict_from_a_prebuilt_analysis_is_bit_identical():
+    rng = np.random.default_rng(2718)
+    pairs = [mu for mu, _ in _rotated_pairs(rng, 60)]
+    others = [mu for k in (1, 3, 4, 5, 6, 7, 8) for mu in _spread_measures(rng, k, 4)]
+    for mu in pairs + others:
+        verdict = closed_form_test(mu, _analysis(mu))
+        assert _bits(verdict) == _bits(closed_form_test(mu))
+        if mu.k == 2:
+            assert _hex(verdict.coupling_det) == _hex(coupling_determinant(mu))
+        else:
+            assert verdict.coupling_det is None
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("1:w=1e6;-1:w=1e6", ResidualTooLarge), ("1:w=1e8;-1:w=1e8", SingularGram)],
+)
+def test_antipodal_verdict_survives_a_failed_analysis(text, error):
+    mu = parse_measure(text)
+    with pytest.raises(error):
+        _analysis(mu)
+    res = closed_form_test(mu)
+    assert res.verdict == "KnownSubnormal"
+    assert (res.s_offdiag, res.root_products, res.coupling_det) == (None, (), None)
 
 
 def test_coupling_determinant_regression(canonical_mu):

@@ -232,6 +232,20 @@ def test_sweep_spread_weights_keep_their_verdicts(capsys):
     assert cells[-1] == "KnownSubnormal"
 
 
+def test_sweep_antipodal_row_survives_a_failed_analysis(capsys):
+    # The antipodal pair is a known subnormal case, so the row keeps its
+    # verdict though the origin-row gate refuses its analysis.
+    code, out, _ = _run(["sweep", "--angles", "180:180:1", "--weights", "1e6,1e6"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "180,KnownSubnormal,,,,"
+
+
+def test_analyze_antipodal_failed_analysis_exits_3(capsys):
+    code, out, err = _run(["analyze", "--skip-oracle", "--measure", "1:w=1e6;-1:w=1e6"], capsys)
+    assert (code, out) == (3, "")
+    assert "ResidualTooLarge: kernel numerator has nonvanishing origin coefficients" in err
+
+
 def test_sweep_has_no_trunc_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--angles", "90:90:1", "--trunc", "48"])

@@ -131,6 +131,16 @@ def test_find_roots_gate_refuses_perturbed_roots(monkeypatch):
     assert observed > 1e-10
 
 
+def test_find_roots_gate_refuses_a_nan_backward_error():
+    # Overflow in the Newton step leaves a NaN root, whose backward error is
+    # NaN; the gate must refuse it.  pytest's error::RuntimeWarning filter
+    # would turn numpy's overflow warnings into errors before the gate is
+    # reached, so they are silenced here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergence, match="root backward error nan exceeds"):
+            find_roots(np.array([1, 1e200, 1e200, 1], dtype=complex))
+
+
 def test_find_roots_deterministic():
     a = find_roots(QUARTIC, tol=1e-10)
     b = find_roots(QUARTIC, tol=1e-10)
