@@ -41,7 +41,9 @@ so the frame's polynomials are ``conj(rho)**(j+1) * p_j(rho z)``.
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,9 +79,9 @@ MAX_TRUNC = 4096
 
 QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
 
-# Radial rows per block of cross_energy: its three 16 x 2048 complex
-# buffers (0.5 MB each at level 3) stay in cache, where an 8.4 MB
-# full-grid array would not.
+# Radial rows per block of cross_energy: each of its two workers owns
+# three 16 x 2048 complex buffers (0.5 MB each at level 3, about 3.1 MB
+# in all), which stay in cache, where an 8.4 MB full-grid array would not.
 _QUAD_ROWS = 16
 
 # Rows of the largest diagonal block that _gram_factors factors directly.
@@ -148,7 +150,9 @@ def quadrature_energy(coeffs, mu, level):
     samples onto the Poisson distribution), and Gauss-Legendre nodes on
     the radial interval ``[0, 1]``.  The warp grid is built once per level
     and cached read-only; :func:`cross_energy` evaluates it by blocks of
-    radial rows, with the same nodes and values as a full-grid pass.
+    radial rows on two workers, each with three 0.5 MB buffers at level 3
+    (about 3.1 MB in all), with the same nodes and values as a full-grid
+    pass, bit for bit, on any CPU count.
 
     Parameters
     ----------
@@ -200,6 +204,30 @@ def _horner(z, c, out):
         out += c[-i]
 
 
+def _quad_blocks(jobs, df, dg, r, eitau, avgs):
+    """Fill ``avgs[a, s:s + _QUAD_ROWS]`` for each ``(a, zeta, s)`` job.
+
+    One worker of :func:`cross_energy`: it owns its three block buffers and
+    writes only the rows its jobs name.
+    """
+    z = np.empty((_QUAD_ROWS, eitau.shape[1]), dtype=complex)
+    fp = np.empty_like(z)
+    gp = fp if dg is df else np.empty_like(z)
+    for a, zeta, s in jobs:
+        e = s + _QUAD_ROWS
+        np.multiply(zeta * r[s:e, None], eitau[s:e], out=z)
+        _horner(z, df, fp)
+        if gp is not fp:
+            _horner(z, dg, gp)
+        # conj(g') * f' in that order: a complex product with fused
+        # multiply-add is not bitwise commutative, and this is the order
+        # NumPy's temporary elision gives ``f' * conj(g')`` on arrays of
+        # 256 KB or more, as every full-grid array is.
+        np.conjugate(gp, out=z)
+        z *= fp
+        avgs[a, s:e] = np.mean(z, axis=1)
+
+
 def cross_energy(f, g, mu, level):
     """Sesquilinear Dirichlet energy pairing of two polynomials.
 
@@ -209,8 +237,15 @@ def cross_energy(f, g, mu, level):
     of that energy, up to round-off.  Passing the same object as ``f`` and
     ``g`` evaluates its derivative once.  Evaluation runs by blocks of 16
     radial rows on the cached warp grid, with Horner's rule in place, so no
-    full-grid array is built per call; the nodes, values and summation
-    order are those of a full-grid evaluation, bit for bit.
+    full-grid array is built per call.  The (atom, block) jobs are split
+    between two workers, the caller and one thread started for this call,
+    each with its own three block buffers (0.5 MB each at level 3); NumPy
+    releases the interpreter lock inside each elementwise pass, so the two
+    halves overlap.  The helper runs in a copy of the caller's context, so
+    a caller's ``np.errstate`` covers it, and its exception is raised here
+    after the join.  The atoms are summed in order once both halves are
+    done: the nodes, values and summation order are those of a full-grid
+    evaluation, bit for bit, on any CPU count.
 
     Parameters
     ----------
@@ -229,28 +264,34 @@ def cross_energy(f, g, mu, level):
     dg = df if g is f else poly_derivative(g)
     if df.size == 0 or dg.size == 0:
         return 0j
-    nr, na = QUAD_LEVELS[level]
+    nr, _ = QUAD_LEVELS[level]
     r, wr = _radial_nodes(nr)
     eitau = _warp_grid(level)
-    z = np.empty((_QUAD_ROWS, na), dtype=complex)
-    fp = np.empty_like(z)
-    gp = fp if dg is df else np.empty_like(z)
-    avg = np.empty(nr, dtype=complex)
+    avgs = np.empty((len(mu.atoms), nr), dtype=complex)
+    jobs = [
+        (a, zeta, s)
+        for a, (zeta, _) in enumerate(mu.atoms)
+        for s in range(0, nr, _QUAD_ROWS)
+    ]
+    half = len(jobs) // 2
+    failure = []
+
+    def helper():
+        try:
+            _quad_blocks(jobs[half:], df, dg, r, eitau, avgs)
+        except BaseException as exc:  # raised in the caller after the join
+            failure.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        _quad_blocks(jobs[:half], df, dg, r, eitau, avgs)
+    finally:
+        thread.join()
+    if failure:
+        raise failure[0]
     total = 0.0
-    for zeta, gamma in mu.atoms:
-        for s in range(0, nr, _QUAD_ROWS):
-            e = s + _QUAD_ROWS
-            np.multiply(zeta * r[s:e, None], eitau[s:e], out=z)
-            _horner(z, df, fp)
-            if gp is not fp:
-                _horner(z, dg, gp)
-            # conj(g') * f' in that order: a complex product with fused
-            # multiply-add is not bitwise commutative, and this is the order
-            # NumPy's temporary elision gives ``f' * conj(g')`` on arrays of
-            # 256 KB or more, as every full-grid array is.
-            np.conjugate(gp, out=z)
-            z *= fp
-            avg[s:e] = np.mean(z, axis=1)
+    for (_, gamma), avg in zip(mu.atoms, avgs):
         total += gamma * 2.0 * np.sum(wr * r * avg)
     return complex(total)
 

@@ -1,10 +1,15 @@
 """Monomial Gram matrix against the quadrature energy oracle."""
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import cauchydual.cdsp
 from cauchydual import (
     ValidationError,
     cross_energy,
@@ -181,7 +186,8 @@ def test_cross_energy_is_bitwise_the_full_grid_body(seeded_measure):
 
 def test_cross_energy_allocates_no_full_grid_array():
     # A full level-3 grid is 256 x 2048 complex, 8.4 MB per array; the
-    # radial blocks keep a warm call's traced peak to a few 0.5 MB buffers.
+    # radial blocks keep a warm call's traced peak to the two workers'
+    # three 0.5 MB buffers each, about 3.1 MB in all.
     mu = make_measure(np.exp([0.3j, 2.0j, 4.1j]), [0.5, 0.4, 0.6])
     f, g = _basis(10), _basis(6)
     want = cross_energy(f, g, mu, 3)
@@ -193,6 +199,79 @@ def test_cross_energy_allocates_no_full_grid_array():
         tracemalloc.stop()
     assert got == want
     assert peak < 4e6
+
+
+def test_cross_energy_raises_the_helper_threads_error(monkeypatch, canonical_mu):
+    # A failure in the helper's half must reach the caller, never leave a
+    # half-filled average to be summed, and leave no thread behind.
+    horner = cauchydual.cdsp._horner
+
+    def off_main_fails(z, c, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper half failed")
+        horner(z, c, out)
+
+    monkeypatch.setattr(cauchydual.cdsp, "_horner", off_main_fails)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper half failed"):
+        cross_energy(_basis(3), _basis(2), canonical_mu, 1)
+    assert threading.active_count() == before
+
+
+def test_cross_energy_helper_runs_under_the_callers_errstate():
+    # One atom: the helper takes the second half of the radial rows,
+    # r > 0.5.  |f'|^2 = 1e320 r^60 overflows only there (at r < 0.49 it
+    # stays below 2e301), so only the caller's errstate, carried into the
+    # helper's context, turns that overflow into an error.
+    mu = make_measure([1.0], [1.0])
+    f = np.zeros(32, dtype=complex)
+    f[31] = 1e160 / 31
+    before = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        cross_energy(f, f, mu, 1)
+    assert threading.active_count() == before
+    cross_energy(_basis(3), _basis(3), mu, 1)
+    assert threading.active_count() == before
+
+
+_ONE_CPU_PAIRS = """
+import ast, os, sys
+import numpy as np
+from cauchydual import cross_energy, make_measure
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert len(os.sched_getaffinity(0)) == 1
+for f, g, points, weights, level in ast.literal_eval(sys.stdin.read()):
+    mu = make_measure(points, weights)
+    print(repr(cross_energy(np.array(f), np.array(g), mu, level)))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+def test_cross_energy_bits_do_not_depend_on_the_cpu_count(seeded_measure):
+    # A child pinned to one CPU runs both workers' halves on that CPU; its
+    # values must be the in-process ones, repr for repr.
+    rng = np.random.default_rng(28)
+    cases = []
+    for level in QUAD_LEVELS:
+        for k in (1, 3):
+            mu = seeded_measure(rng, k)
+            f = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+            g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            cases.append(
+                (f.tolist(), g.tolist(), mu.points.tolist(), mu.weights.tolist(), level)
+            )
+    want = [
+        repr(cross_energy(np.array(f), np.array(g), make_measure(p, w), level))
+        for f, g, p, w, level in cases
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_PAIRS],
+        input=repr(cases),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == want
 
 
 def test_gram_moment_table_is_bitwise_per_moment(seeded_measure):
