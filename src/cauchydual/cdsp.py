@@ -15,18 +15,16 @@ Two independent routes:
    function of ``(mu, N)`` alone.  By the local Dirichlet formula the
    section of ``M* M`` is ``I + F F*`` with ``F`` of width k <= 8; the
    dual ``T (I + F F*)^-1 = T - (T F)(I_k + F* F)^-1 F*`` takes one
-   ``k x k`` solve by the Woodbury identity, and the Gram factor, its
-   inverse and ``T`` come from one pass by 2 x 2 blocks.  Every defect
-   form comes from one recursion, ``B_n = B_{n-1} - X* B_{n-1} X`` from
-   ``B_0 = I``, carried on low-rank factors ``B_n = W_n H_n W_n*``:
-   ``B_1 = I - X* X`` of the truncated shift or its dual is written down
-   from ``F`` and two edge columns, ``k + 2`` in all (a bare matrix takes
-   ``eigh`` of its whole ``B_1``), and each order adds one or two.  Every
-   later order is a QR of ``[W, X* W]`` and an eigendecomposition of its
-   small core, at ``O(N^2 r)`` instead of ``O(N^3)``.  A form's interior
-   eigenvalues are those of the core of ``W[:keep]``, joined by 0.  The
-   dual's contraction gate reads its interior norm off ``B_1`` and a rank
-   ``k + 1`` edge block the same way, so no SVD runs.
+   ``k x k`` solve by the Woodbury identity.  The Gram factor and its
+   inverse come from one pass by 2 x 2 blocks, ``T`` is written over the
+   inverse, and every defect form comes from one recursion,
+   ``B_n = B_{n-1} - X* B_{n-1} X`` from ``B_0 = I``, carried on low-rank
+   factors ``B_n = W_n H_n W_n*``: ``B_1 = I - X* X`` of the truncated
+   shift or its dual is written down from ``F`` and two edge columns,
+   ``k + 2`` in all (a bare matrix takes ``eigh`` of its whole ``B_1``),
+   and each order adds one or two: a QR of ``[W, X* W]`` and an
+   eigendecomposition of its small core, at ``O(N^2 r)``.  Interior
+   eigenvalues and the dual's gate norm are read off factors (no SVD).
 
 Scalars produced by the closed-form route (overlap sum, root products,
 coupling determinant) are those of a canonical rotation frame: atoms sorted
@@ -73,19 +71,20 @@ __all__ = [
     "sweep_angle",
 ]
 
-# Largest truncation size: a build and its oracle peak at ~3.5 N x N
-# complex arrays (58.7 MB traced at N = 1024), so ~0.94 GB at 4096.
+# Largest truncation size: a build and its oracle peak at ~2.5 N x N
+# complex arrays (~40 MB traced at N = 1024), so ~0.67 GB at 4096.
 MAX_TRUNC = 4096
 
 QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
 
-# Radial rows per block of cross_energy: each of its two workers owns
-# three 16 x 2048 complex buffers (0.5 MB each at level 3, about 3.1 MB
-# in all), which stay in cache, where an 8.4 MB full-grid array would not.
+# Radial rows per block of cross_energy and _warp_grid: each of the two
+# workers owns three 16 x 2048 complex buffers (0.5 MB each at level 3,
+# 3.1 MB in all), in cache, where an 8.4 MB full-grid array would not be.
 _QUAD_ROWS = 16
 
-# Rows of the largest diagonal block that _gram_factors factors directly.
-_TRI_BLOCK = 32
+# Rows of the largest diagonal block that _gram_factors factors directly,
+# and of the product panels of _shift_over and two_isometry_defect.
+_TRI_BLOCK, _PANEL = 32, 64
 
 # Orders accepted by agler_min_eig (and the report's nmax) and by
 # hyperexpansivity_max_eig.
@@ -149,10 +148,8 @@ def quadrature_energy(coeffs, mu, level):
     the angular direction (a Moebius warp of the angle pushes the uniform
     samples onto the Poisson distribution), and Gauss-Legendre nodes on
     the radial interval ``[0, 1]``.  The warp grid is built once per level
-    and cached read-only; :func:`cross_energy` evaluates it by blocks of
-    radial rows on two workers, each with three 0.5 MB buffers at level 3
-    (about 3.1 MB in all), with the same nodes and values as a full-grid
-    pass, bit for bit, on any CPU count.
+    by blocks of radial rows (~1.1 times its 8.4 MB at level 3) and cached
+    read-only; :func:`cross_energy` evaluates it by blocks, bit for bit.
 
     Parameters
     ----------
@@ -184,13 +181,16 @@ def _warp_grid(level):
     """Moebius-warped angular samples ``e^{i tau}``, ``nr x na``, read-only.
 
     Row ``j`` pushes the uniform angles onto the Poisson distribution of
-    radius ``r[j]``; the grid depends on the level alone, not on the atom.
+    radius ``r[j]``, for every atom; rows fill by ``_QUAD_ROWS`` blocks.
     """
     nr, na = QUAD_LEVELS[level]
     r, _ = _radial_nodes(nr)
     eipsi = np.exp(2j * np.pi * np.arange(na) / na)
-    rr = r[:, None]
-    eitau = (eipsi[None, :] + rr) / (1.0 + rr * eipsi[None, :])
+    eitau = np.empty((nr, na), dtype=complex)
+    for s in range(0, nr, _QUAD_ROWS):
+        rr, block = r[s : s + _QUAD_ROWS, None], eitau[s : s + _QUAD_ROWS]
+        np.add(eipsi, rr, out=block)
+        block /= 1.0 + rr * eipsi
     eitau.flags.writeable = False
     return eitau
 
@@ -207,12 +207,12 @@ def _horner(z, c, out):
 def _quad_blocks(jobs, df, dg, r, eitau, avgs):
     """Fill ``avgs[a, s:s + _QUAD_ROWS]`` for each ``(a, zeta, s)`` job.
 
-    One worker of :func:`cross_energy`: it owns its three block buffers and
-    writes only the rows its jobs name.
+    One worker of :func:`cross_energy`: it writes only the rows its jobs
+    name.  Its three block buffers are one allocation: glibc's malloc keeps
+    it across calls, but could return three 0.5 MB ones after every call.
     """
-    z = np.empty((_QUAD_ROWS, eitau.shape[1]), dtype=complex)
-    fp = np.empty_like(z)
-    gp = fp if dg is df else np.empty_like(z)
+    z, fp, gp = np.empty((3, _QUAD_ROWS, eitau.shape[1]), dtype=complex)
+    gp = fp if dg is df else gp
     for a, zeta, s in jobs:
         e = s + _QUAD_ROWS
         np.multiply(zeta * r[s:e, None], eitau[s:e], out=z)
@@ -236,16 +236,16 @@ def cross_energy(f, g, mu, level):
     this is the polarization ``(E(f+g) - E(f-g) + i E(f+ig) - i E(f-ig)) / 4``
     of that energy, up to round-off.  Passing the same object as ``f`` and
     ``g`` evaluates its derivative once.  Evaluation runs by blocks of 16
-    radial rows on the cached warp grid, with Horner's rule in place, so no
-    full-grid array is built per call.  The (atom, block) jobs are split
-    between two workers, the caller and one thread started for this call,
-    each with its own three block buffers (0.5 MB each at level 3); NumPy
-    releases the interpreter lock inside each elementwise pass, so the two
-    halves overlap.  The helper runs in a copy of the caller's context, so
-    a caller's ``np.errstate`` covers it, and its exception is raised here
-    after the join.  The atoms are summed in order once both halves are
-    done: the nodes, values and summation order are those of a full-grid
-    evaluation, bit for bit, on any CPU count.
+    radial rows on the cached warp grid (built by such blocks), with
+    Horner's rule in place, so no full-grid temporary is made.  The (atom,
+    block) jobs are split between two workers, the caller and one thread
+    started for this call, each with its own three block buffers (0.5 MB
+    each at level 3); NumPy releases the interpreter lock inside each
+    elementwise pass, so the two halves overlap.  The helper runs in a
+    copy of the caller's context, so a caller's ``np.errstate`` covers it,
+    and its exception is raised here after the join.  The atoms are summed
+    in order once both halves are done: the nodes, values and summation
+    order are those of a full-grid evaluation, bit for bit, on any CPU count.
 
     Parameters
     ----------
@@ -314,7 +314,7 @@ class TruncationWorkspace:
     the last row and column ``d = T* T e - M* M e`` (``e`` the last basis
     vector), so ``I - T* T = -F F* - d e* - e d* + d_{N-1} e e*`` is
     factored from the ``k + 2`` columns ``[F, e, d]`` (:func:`_edge_form`).
-    ``C``, ``C^-1`` and ``T`` come from one BLAS-3 pass (:func:`_gram_factors`).
+    ``F`` is read off ``C^-1`` (:func:`_gram_factors`), then ``T`` over it.
 
     Attributes
     ----------
@@ -363,11 +363,12 @@ class TruncationWorkspace:
         c = gram_monomials(mu, n)
         trace = np.trace(c).real
         np.conjugate(c, out=c)
-        c_inv, t = np.zeros_like(c), np.zeros_like(c)
-        _gram_factors(c, c_inv, t, 0, n, trace)
-        # F = C^-* V and d below take transposed views, not N x N copies.
+        t = np.zeros_like(c)
+        _gram_factors(c, t, 0, n, trace)
+        # t holds C^-1, then T over it; F = C^-* V and d take transposed views, not copies.
         vander = mu.points[None, :] ** np.arange(n)[:, None]
-        f = np.conj(c_inv.T @ (vander * np.sqrt(mu.weights)))
+        f = np.conj(t.T @ (vander * np.sqrt(mu.weights)))
+        _shift_over(c, t)
         # The last column of I + F F*, then d = T* T e - M* M e.
         col = f @ np.conj(f[-1])
         col[-1] += 1.0
@@ -404,43 +405,44 @@ def build_truncation(mu, n):
     return TruncationWorkspace(mu, n)
 
 
-def _gram_factors(a, c_inv, t, lo, hi, trace):
+def _gram_factors(a, c_inv, lo, hi, trace):
     """Upper Cholesky factor ``C`` of ``a[lo:hi, lo:hi]`` written over it,
-    with ``C^-1`` and ``T = [C[:, 1:], 0] C^-1`` into zeroed ``c_inv``, ``t``.
-
-    One recursive pass by 2 x 2 blocks (Elmroth, Gustavson, Jonsson and
-    Kagstrom, SIAM Review 46, 2004), split at the largest power-of-two
-    multiple of ``_TRI_BLOCK`` below the size: ``C12 = C11^-* A12``,
-    ``A22 -= C12* C12``, ``C^-1_12 = -C11^-1 C12 C22^-1`` (Du Croz and
-    Higham, IMA J. Numer. Anal. 12, 1992); leaves take
-    ``numpy.linalg.cholesky`` and ``inv``.  ``T`` is upper Hessenberg: its
-    diagonal blocks are the blocks' own ``T`` coupled by one column and one
-    row, and ``T12 = C[:s, 1:] C^-1[:-1, s:]`` is one product.  Leading
-    blocks are cut off at ``_TRI_BLOCK * 2**j`` rows at every size, so all
-    three come out bit for bit the same there at every size.  A pivot
+    with ``C^-1`` into the zeroed ``c_inv``, in one recursive pass by 2 x 2
+    blocks (Elmroth, Gustavson, Jonsson and Kagstrom, SIAM Review 46, 2004),
+    split at the largest power-of-two multiple of ``_TRI_BLOCK`` below the
+    size: ``C12 = C11^-* A12``, ``A22 -= C12* C12``,
+    ``C^-1_12 = -C11^-1 C12 C22^-1`` (Du Croz and Higham, IMA J. Numer.
+    Anal. 12, 1992); leaves take ``numpy.linalg.cholesky`` and ``inv``.
+    Leading blocks are cut off at ``_TRI_BLOCK * 2**j`` rows at every size,
+    so both come out bit for bit the same there at every size.  A pivot
     ``C_mm^2`` below ``-1e-10 * trace`` raises :class:`NotPSD`, one within
     it of 0 :class:`SingularGram`, naming ``m``.
     """
     if hi - lo <= _TRI_BLOCK:
         a[lo:hi, lo:hi] = _leaf_factor(a[lo:hi, lo:hi], lo, a.shape[0], trace)
         c_inv[lo:hi, lo:hi] = np.linalg.inv(a[lo:hi, lo:hi])
-        np.matmul(a[lo:hi, lo + 1 : hi], c_inv[lo : hi - 1, lo:hi], out=t[lo:hi, lo:hi])
         return
     s = _TRI_BLOCK
     while 2 * s < hi - lo:
         s *= 2
     mid = lo + s
-    _gram_factors(a, c_inv, t, lo, mid, trace)
+    _gram_factors(a, c_inv, lo, mid, trace)
     c12 = a[lo:mid, mid:hi]
     c12[...] = np.conj(c_inv[lo:mid, lo:mid].T @ np.conj(c12))
     a[mid:hi, lo:mid] = 0.0
     a[mid:hi, mid:hi] -= c12.conj().T @ c12
-    _gram_factors(a, c_inv, t, mid, hi, trace)
+    _gram_factors(a, c_inv, mid, hi, trace)
     c_inv[lo:mid, mid:hi] = -(c_inv[lo:mid, lo:mid] @ c12) @ c_inv[mid:hi, mid:hi]
-    # The coupling: column z^mid of C times C11^-1's last row, its corner.
-    t[lo : mid + 1, mid - 1] += a[lo : mid + 1, mid] * c_inv[mid - 1, mid - 1]
-    t[mid, mid:hi] += a[mid, mid] * c_inv[mid - 1, mid:hi]
-    np.matmul(a[lo:mid, lo + 1 : hi], c_inv[lo : hi - 1, mid:hi], out=t[lo:mid, mid:hi])
+
+
+def _shift_over(c, x):
+    """``T = [C[:, 1:], 0] C^-1`` written over ``x = C^-1`` by panels of
+    ``_PANEL`` columns from column 0 at every size: column ``j`` of ``T``
+    needs only ``C^-1[:j + 1, j]``, so ``T`` is upper Hessenberg."""
+    for lo in range(0, len(x), _PANEL):
+        hi = min(lo + _PANEL, len(x) - 1)
+        x[: hi + 1, lo : lo + _PANEL] = c[: hi + 1, 1 : hi + 1] @ x[:hi, lo : lo + _PANEL]
+    return x
 
 
 def _leaf_factor(a, lo, n, trace):
@@ -509,8 +511,8 @@ def _first_form(x):
 def _defect_factors(x, nmax, first=None):
     """Yield ``(W_n, H_n)`` with ``B_n = W_n H_n W_n*`` for n = 1..nmax.
 
-    The walk starts from ``first``, the factor of ``B_1`` when the caller
-    has it, or else from :func:`_first_form` of ``X``.
+    The walk starts from ``first``, the caller's factor of ``B_1``, or else
+    from :func:`_first_form` of ``X``; ``Q`` is freed before the next QR.
 
     ``B_n = sum_j (-1)^j binom(n, j) (X^j)* X^j`` is Agler's identity
     ``B_n = (1 - L)^n I`` with ``L(Y) = X* Y X``, walked as
@@ -526,6 +528,7 @@ def _defect_factors(x, nmax, first=None):
         q, r = np.linalg.qr(np.hstack((w, np.conj(x.T @ np.conj(w)))))
         r1, r2 = r[:, : h.shape[0]], r[:, h.shape[0] :]
         w, h = _compress(q, r1 @ h @ r1.conj().T - r2 @ h @ r2.conj().T)
+        del q
         yield w, h
 
 
@@ -590,7 +593,8 @@ def _shift_curve(w, orders):
     hyper = {}
     for n, (f, h) in enumerate(_defect_factors(w.T, max([2, *keeps]), w.shift_form), 1):
         if n == 2:
-            defect = float(np.max(np.abs(f[:m] @ h @ f[:m].conj().T)))
+            fh, fc = f[:m] @ h, f[:m].conj().T
+            defect = float(max(np.abs(fh[s : s + _PANEL] @ fc).max() for s in range(0, m, _PANEL)))
         if n in keeps:
             hyper[n] = _extreme(f, h, keeps[n], lowest=False)
     return defect, hyper
@@ -629,7 +633,8 @@ def _gated_dual(w):
     eye = np.eye(f.shape[1])
     y = np.linalg.solve(eye + f.conj().T @ f, f.conj().T)
     tf = w.T @ f
-    dual = w.T - tf @ y
+    dual = tf @ y
+    np.subtract(w.T, dual, out=dual)
     v = -(f @ y[:, -1])
     v[-1] += 1.0
     first = _edge_form(f, eye - y @ f, v, d - f @ (y @ d), d[-1].real)
@@ -699,13 +704,10 @@ def agler_min_eig(tp, n, margin):
     ``n``-fold product of the truncated matrix corrupts entries within
     ``n`` of the edge.  The form is ``B_n`` of the defect recursion.
 
-    The form is carried as a low-rank factor ``W H W*``.  A bare matrix
-    has no frame to write ``B_1`` down from, so its factor comes from
-    ``eigh`` of the whole ``B_1``, the one ``N x N`` eigendecomposition;
-    the report's oracle starts instead from the dual's written-down form
-    (:func:`_gated_dual`).  The value is the smallest eigenvalue of the
-    core of ``W[:keep]``, joined by 0 when the block is wider than the
-    factor.
+    A bare matrix has no frame to write ``B_1`` down from, so its factor
+    comes from ``eigh`` of the whole ``B_1``, the one ``N x N``
+    eigendecomposition (the report's oracle starts from the dual's
+    written-down form); :func:`_extreme` reads the value off the factor.
 
     Parameters
     ----------
@@ -730,9 +732,8 @@ def hyperexpansivity_max_eig(w, n):
     for every ``n >= 1``; the order-2 form vanishes identically for a
     2-isometry.  The form is ``B_n`` of the defect recursion.
 
-    The recursion starts from the workspace's ``shift_form``; the value
-    is the largest eigenvalue of the core of the factor's interior rows,
-    joined by 0 when the block is wider than the factor.
+    The recursion starts from the workspace's ``shift_form``, and
+    :func:`_extreme` reads the value off the factor.
 
     Parameters
     ----------
@@ -748,12 +749,11 @@ def hyperexpansivity_max_eig(w, n):
 
 
 def _oracle_run(w, nmax):
-    """The report's oracle figures at one size: one recursion pass for
-    the dual (orders ``1..nmax``), one for the shift (orders 1..4), and
-    the dual's norm as its contraction gate read it."""
+    """Oracle figures at one size: the shift's pass (orders 1..4), run before
+    the dual exists, then the dual's pass (``1..nmax``) and its gate norm."""
+    defect, hyper = _shift_curve(w, (2, 3, 4))
     dual, dual_norm, first = _gated_dual(w)
     agler = _agler_curve(dual, range(1, nmax + 1), w.margin, first)
-    defect, hyper = _shift_curve(w, (2, 3, 4))
     return {
         "N": w.N,
         "shift_norm": w.norm_T,

@@ -144,6 +144,28 @@ def test_cross_energy_reuses_radial_nodes(monkeypatch, canonical_mu):
     assert eitau.shape == QUAD_LEVELS[1]
 
 
+def test_warp_grid_is_the_one_expression_grid_built_by_row_blocks():
+    # Filled by blocks of radial rows, the grid is the one-expression
+    # grid bit for bit, and a cold level-3 build peaks at about one
+    # block-sized temporary above the 8.4 MB grid itself.
+    for level in QUAD_LEVELS:
+        nr, na = QUAD_LEVELS[level]
+        r, _ = _radial_nodes(nr)
+        eipsi = np.exp(2j * np.pi * np.arange(na) / na)
+        rr = r[:, None]
+        want = (eipsi + rr) / (1.0 + rr * eipsi)
+        assert _warp_grid(level).tobytes() == want.tobytes()
+    _warp_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        grid = _warp_grid(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.nbytes == 256 * 2048 * 16
+    assert peak < 1.15 * grid.nbytes
+
+
 def _reference_cross_energy(f, g, mu, level):
     # The one-pass full-grid body that the radial blocks replaced, kept
     # verbatim: its values are the ones cross_energy must reproduce.

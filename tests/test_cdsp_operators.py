@@ -61,11 +61,12 @@ def test_shift_is_expansive_on_columns(canonical_mu):
 
 def _factors(a):
     """``(C, C^-1, T)`` of the Hermitian ``a`` by the workspace's one
-    recursive pass, gated against ``a``'s own trace."""
+    recursive pass, gated against ``a``'s own trace, and its ``T`` pass
+    on a copy of ``C^-1``."""
     c = np.array(a, dtype=complex)
-    c_inv, t = np.zeros_like(c), np.zeros_like(c)
-    cdsp._gram_factors(c, c_inv, t, 0, c.shape[0], np.trace(c).real)
-    return c, c_inv, t
+    c_inv = np.zeros_like(c)
+    cdsp._gram_factors(c, c_inv, 0, c.shape[0], np.trace(c).real)
+    return c, c_inv, cdsp._shift_over(c, c_inv.copy())
 
 
 def _onb_factor(mu, n):
@@ -270,23 +271,25 @@ def test_gram_factor_gates_name_a_later_pivot(size, index):
 
 
 def test_build_and_oracle_peak_memory(canonical_mu):
-    # Traced peaks at N=384, in N x N complex arrays: the build holds the
-    # factor, its inverse and T with small temporaries, and the oracle
-    # holds the dual with no N x N conjugate copy.
-    unit = 384 * 384 * 16
-    _oracle_run(build_truncation(canonical_mu, 384), 10)
-    tracemalloc.start()
-    try:
-        w = build_truncation(canonical_mu, 384)
-        build = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        _oracle_run(w, 10)
-        oracle = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert build <= 3.75 * unit
-    assert oracle <= 2.5 * unit
+    # Traced peaks at N=384 and 1024, in N x N complex arrays: the build
+    # holds the factor and its inverse, with T written over the inverse by
+    # column panels, and the oracle holds the dual, formed in place, with
+    # no other N x N array.
+    for size in (384, 1024):
+        unit = size * size * 16
+        _oracle_run(build_truncation(canonical_mu, size), 10)
+        tracemalloc.start()
+        try:
+            w = build_truncation(canonical_mu, size)
+            build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            _oracle_run(w, 10)
+            oracle = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert build <= 2.75 * unit
+        assert oracle <= 1.5 * unit
 
 
 _HASH_WORKSPACE = """
@@ -410,11 +413,14 @@ def test_dual_interior_norm_is_the_spectral_norm(monkeypatch, seeded_measure):
 
 def test_leading_blocks_stabilize(canonical_mu):
     # Upper Cholesky of a leading principal submatrix is the leading
-    # block of the factor, so T's leading block is size-independent; the
-    # Cauchy dual inherits the stability up to round-off.
+    # block of the factor, so T's leading block is size-independent, bit
+    # for bit across T's column panels; the Cauchy dual inherits the
+    # stability up to round-off.
     t48 = build_truncation(canonical_mu, 48)
     t96 = build_truncation(canonical_mu, 96)
-    assert np.max(np.abs(t48.T[:24, :24] - t96.T[:24, :24])) == 0.0
+    for size in (64, 96, 100, 200, 384, 1024):
+        t = build_truncation(canonical_mu, size).T
+        assert np.max(np.abs(t48.T[:40, :40] - t[:40, :40])) == 0.0
     d48 = cauchy_dual(t48)
     d96 = cauchy_dual(t96)
     assert np.max(np.abs(d48[:24, :24] - d96[:24, :24])) <= 1e-12
