@@ -39,9 +39,7 @@ so the frame's polynomials are ``conj(rho)**(j+1) * p_j(rho z)``.
 
 from __future__ import annotations
 
-import contextvars
 import functools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,9 +75,9 @@ MAX_TRUNC = 4096
 
 QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
 
-# Radial rows per block of cross_energy and _warp_grid: each of the two
-# workers owns three 16 x 2048 complex buffers (0.5 MB each at level 3,
-# 3.1 MB in all), in cache, where an 8.4 MB full-grid array would not be.
+# Radial rows per block of cross_energy and _warp_grid: cross_energy owns
+# three 16 x 2048 complex buffers (0.5 MB each at level 3, 1.5 MB in all),
+# in cache, where an 8.4 MB full-grid array would not be.
 _QUAD_ROWS = 16
 
 # Rows of the largest diagonal block that _gram_factors factors directly,
@@ -87,9 +85,14 @@ _QUAD_ROWS = 16
 _TRI_BLOCK, _PANEL = 32, 64
 
 # Orders accepted by agler_min_eig (and the report's nmax) and by
-# hyperexpansivity_max_eig.
+# hyperexpansivity_max_eig, and the shift's orders in each oracle run.
 AGLER_ORDERS = range(1, 11)
 HYPER_ORDERS = range(2, 7)
+SHIFT_ORDERS = (2, 3, 4)
+
+# A workspace's interior margin is max(_MIN_MARGIN, N // 8); an order-n
+# form keeps N - margin - n >= _MIN_KEEP interior rows.
+_MIN_MARGIN, _MIN_KEEP = 4, 2
 
 CITE_SINGLE_ATOM = (
     "one-atom case: the shift on a one-atom weighted Dirichlet space has a "
@@ -196,36 +199,20 @@ def _warp_grid(level):
 
 
 def _horner(z, c, out):
-    """``polyval(z, c)`` into ``out``, with polyval's own operations and bits."""
-    np.multiply(z, 0, out=out)
-    out += c[-1]
+    """``polyval(z, c)`` into ``out``, with polyval's operations and bits:
+    ``c[-1] * z`` first (a complex product with fused multiply-add is not
+    bitwise commutative), and no exact 0 added (that changes only the sign
+    of a zero)."""
+    if len(c) == 1:
+        np.multiply(z, 0, out=out)
+        out += c[0]
+        return
+    np.multiply(c[-1], z, out=out)
     for i in range(2, len(c) + 1):
-        out *= z
-        out += c[-i]
-
-
-def _quad_blocks(jobs, df, dg, r, eitau, avgs):
-    """Fill ``avgs[a, s:s + _QUAD_ROWS]`` for each ``(a, zeta, s)`` job.
-
-    One worker of :func:`cross_energy`: it writes only the rows its jobs
-    name.  Its three block buffers are one allocation: glibc's malloc keeps
-    it across calls, but could return three 0.5 MB ones after every call.
-    """
-    z, fp, gp = np.empty((3, _QUAD_ROWS, eitau.shape[1]), dtype=complex)
-    gp = fp if dg is df else gp
-    for a, zeta, s in jobs:
-        e = s + _QUAD_ROWS
-        np.multiply(zeta * r[s:e, None], eitau[s:e], out=z)
-        _horner(z, df, fp)
-        if gp is not fp:
-            _horner(z, dg, gp)
-        # conj(g') * f' in that order: a complex product with fused
-        # multiply-add is not bitwise commutative, and this is the order
-        # NumPy's temporary elision gives ``f' * conj(g')`` on arrays of
-        # 256 KB or more, as every full-grid array is.
-        np.conjugate(gp, out=z)
-        z *= fp
-        avgs[a, s:e] = np.mean(z, axis=1)
+        if i > 2:
+            out *= z
+        if c[-i] != 0:
+            out += c[-i]
 
 
 def cross_energy(f, g, mu, level):
@@ -235,17 +222,12 @@ def cross_energy(f, g, mu, level):
     pass on the quadrature grid described in :func:`quadrature_energy`;
     this is the polarization ``(E(f+g) - E(f-g) + i E(f+ig) - i E(f-ig)) / 4``
     of that energy, up to round-off.  Passing the same object as ``f`` and
-    ``g`` evaluates its derivative once.  Evaluation runs by blocks of 16
-    radial rows on the cached warp grid (built by such blocks), with
-    Horner's rule in place, so no full-grid temporary is made.  The (atom,
-    block) jobs are split between two workers, the caller and one thread
-    started for this call, each with its own three block buffers (0.5 MB
-    each at level 3); NumPy releases the interpreter lock inside each
-    elementwise pass, so the two halves overlap.  The helper runs in a
-    copy of the caller's context, so a caller's ``np.errstate`` covers it,
-    and its exception is raised here after the join.  The atoms are summed
-    in order once both halves are done: the nodes, values and summation
-    order are those of a full-grid evaluation, bit for bit, on any CPU count.
+    ``g`` evaluates its derivative once.  Evaluation runs atom by atom, by
+    blocks of 16 radial rows on the cached warp grid (built by such
+    blocks), with Horner's rule in place, so no full-grid temporary is
+    made: three block buffers in all, 0.5 MB each at level 3.  The nodes,
+    values and summation order are those of a full-grid evaluation, bit
+    for bit.
 
     Parameters
     ----------
@@ -264,34 +246,29 @@ def cross_energy(f, g, mu, level):
     dg = df if g is f else poly_derivative(g)
     if df.size == 0 or dg.size == 0:
         return 0j
-    nr, _ = QUAD_LEVELS[level]
+    nr, na = QUAD_LEVELS[level]
     r, wr = _radial_nodes(nr)
     eitau = _warp_grid(level)
-    avgs = np.empty((len(mu.atoms), nr), dtype=complex)
-    jobs = [
-        (a, zeta, s)
-        for a, (zeta, _) in enumerate(mu.atoms)
-        for s in range(0, nr, _QUAD_ROWS)
-    ]
-    half = len(jobs) // 2
-    failure = []
-
-    def helper():
-        try:
-            _quad_blocks(jobs[half:], df, dg, r, eitau, avgs)
-        except BaseException as exc:  # raised in the caller after the join
-            failure.append(exc)
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-    thread.start()
-    try:
-        _quad_blocks(jobs[:half], df, dg, r, eitau, avgs)
-    finally:
-        thread.join()
-    if failure:
-        raise failure[0]
+    # One allocation for the three block buffers: glibc's malloc keeps it
+    # across calls, but could return three 0.5 MB ones after every call.
+    z, fp, gp = np.empty((3, _QUAD_ROWS, na), dtype=complex)
+    gp = fp if dg is df else gp
+    avg = np.empty(nr, dtype=complex)
     total = 0.0
-    for (_, gamma), avg in zip(mu.atoms, avgs):
+    for zeta, gamma in mu.atoms:
+        for s in range(0, nr, _QUAD_ROWS):
+            e = s + _QUAD_ROWS
+            np.multiply(zeta * r[s:e, None], eitau[s:e], out=z)
+            _horner(z, df, fp)
+            if gp is not fp:
+                _horner(z, dg, gp)
+            # conj(g') * f' in that order: a complex product with fused
+            # multiply-add is not bitwise commutative, and this is the order
+            # NumPy's temporary elision gives ``f' * conj(g')`` on arrays of
+            # 256 KB or more, as every full-grid array is.
+            np.conjugate(gp, out=z)
+            z *= fp
+            avg[s:e] = np.mean(z, axis=1)
         total += gamma * 2.0 * np.sum(wr * r * avg)
     return complex(total)
 
@@ -378,7 +355,7 @@ class TruncationWorkspace:
         lowest = np.linalg.eigvalsh(form[1]).min(initial=1.0)
         values = {
             "T": t,
-            "margin": max(4, n // 8),
+            "margin": max(_MIN_MARGIN, n // 8),
             "frame_factor": f,
             "shift_form": form,
             "norm_T": float(np.sqrt(max(1.0, 1.0 - lowest))),
@@ -550,12 +527,24 @@ def _keep(size, n, margin, orders, kind):
     """Interior size for the order-``n`` form; ``n`` must be in ``orders``."""
     _check_order(n, orders, kind)
     keep = size - margin - n
-    if keep < 2:
+    if keep < _MIN_KEEP:
         raise ValidationError(
             f"truncation size {size} with margin {margin} leaves {keep} interior "
-            f"rows for order {n}, fewer than 2"
+            f"rows for order {n}, fewer than {_MIN_KEEP}"
         )
     return keep
+
+
+def _check_oracle_size(size, nmax):
+    """Raise :class:`ValidationError` unless every order of an oracle run at
+    ``size``, the shift's ``SHIFT_ORDERS`` and the dual's ``1..nmax``, keeps
+    ``_MIN_KEEP`` interior rows.  The floor is below 40, where the margin is
+    ``_MIN_MARGIN``, so it is ``max(10, nmax + 6)``."""
+    floor = _MIN_MARGIN + _MIN_KEEP + max(SHIFT_ORDERS[-1], nmax)
+    if size < floor:
+        raise ValidationError(
+            f"truncation size {size} is below {floor} = max(10, nmax + 6) for nmax {nmax}"
+        )
 
 
 def _extreme(w, h, keep, lowest):
@@ -751,7 +740,7 @@ def hyperexpansivity_max_eig(w, n):
 def _oracle_run(w, nmax):
     """Oracle figures at one size: the shift's pass (orders 1..4), run before
     the dual exists, then the dual's pass (``1..nmax``) and its gate norm."""
-    defect, hyper = _shift_curve(w, (2, 3, 4))
+    defect, hyper = _shift_curve(w, SHIFT_ORDERS)
     dual, dual_norm, first = _gated_dual(w)
     agler = _agler_curve(dual, range(1, nmax + 1), w.margin, first)
     return {

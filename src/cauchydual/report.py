@@ -18,6 +18,7 @@ import numpy as np
 
 from .cdsp import (
     AGLER_ORDERS,
+    _check_oracle_size,
     _check_order,
     _check_size,
     _oracle_run,
@@ -26,7 +27,7 @@ from .cdsp import (
 )
 from .debranges import build_identification
 from .dirichlet import build_model
-from .errors import SchemaViolation, ValidationError
+from .errors import SchemaViolation
 from .measure import format_measure
 
 __all__ = [
@@ -296,12 +297,8 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
     """
     _check_order(nmax, AGLER_ORDERS, "defect")
     _check_size(trunc)
-    # Below N=32 the margin is 4: the deepest order, max(4, nmax), keeps 2 rows.
-    floor = 6 + max(4, nmax)
-    if trunc < floor and not skip_oracle:
-        raise ValidationError(
-            f"truncation size {trunc} is below {floor} = max(10, nmax + 6) for nmax {nmax}"
-        )
+    if not skip_oracle:
+        _check_oracle_size(trunc, nmax)
     model = build_model(mu)
     ident = build_identification(model)
     verdict = closed_form_test(mu, (model, ident))

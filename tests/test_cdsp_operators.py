@@ -233,8 +233,8 @@ def test_upper_inverse_leading_blocks_match_across_sizes(canonical_mu):
 
 @pytest.mark.parametrize("size", [33, 65, 100, 384])
 def test_blocked_T_is_the_hessenberg_product(property_measures, size):
-    # T is formed over the factor's blocks; it is exactly upper Hessenberg
-    # and within 1e-14 relative of the dense [C[:, 1:], 0] C^-1.
+    # T is written over C^-1 by column panels (_shift_over); it is exactly
+    # upper Hessenberg and within 1e-14 relative of the dense [C[:, 1:], 0] C^-1.
     for mu in property_measures:
         c, c_inv, t = _factors(np.conj(gram_monomials(mu, size)))
         assert np.max(np.abs(np.tril(t, -2))) == 0.0
