@@ -75,9 +75,9 @@ MAX_TRUNC = 4096
 
 QUAD_LEVELS = {1: (64, 512), 2: (128, 1024), 3: (256, 2048)}
 
-# Radial rows per block of cross_energy and _warp_grid: cross_energy owns
-# three 16 x 2048 complex buffers (0.5 MB each at level 3, 1.5 MB in all),
-# in cache, where an 8.4 MB full-grid array would not be.
+# Radial nodes per block of _angular_moments: two 16 x 2048 complex
+# buffers (0.5 MB each at level 3), in cache, where an 8.4 MB full-grid
+# array would not be.  cross_energy itself touches no angular node.
 _QUAD_ROWS = 16
 
 # Rows of the largest diagonal block that _gram_factors factors directly,
@@ -150,9 +150,10 @@ def quadrature_energy(coeffs, mu, level):
     per-atom substitution that integrates the Poisson factor exactly in
     the angular direction (a Moebius warp of the angle pushes the uniform
     samples onto the Poisson distribution), and Gauss-Legendre nodes on
-    the radial interval ``[0, 1]``.  The warp grid is built once per level
-    by blocks of radial rows (~1.1 times its 8.4 MB at level 3) and cached
-    read-only; :func:`cross_energy` evaluates it by blocks, bit for bit.
+    the radial interval ``[0, 1]``.  The rule sees a polynomial only
+    through one small cached table per level, the angular means of the
+    powers of its warped nodes (a cold level-3 build of 16 powers peaks at
+    ~1.4 MB traced), and :func:`cross_energy` sums in coefficient space.
 
     Parameters
     ----------
@@ -179,55 +180,59 @@ def _radial_nodes(nr):
     return r, wr
 
 
-@functools.lru_cache(maxsize=None)
-def _warp_grid(level):
-    """Moebius-warped angular samples ``e^{i tau}``, ``nr x na``, read-only.
+# The angular moment table of each level, read-only; it only ever grows.
+_MOMENTS = {}
 
-    Row ``j`` pushes the uniform angles onto the Poisson distribution of
-    radius ``r[j]``, for every atom; rows fill by ``_QUAD_ROWS`` blocks.
+
+def _angular_moments(level, degree):
+    """``M[s, j] = mean_psi e^{i s tau_j(psi)}`` for ``s <= degree`` at least.
+
+    ``e^{i tau_j} = (e^{i psi} + r_j) / (1 + r_j e^{i psi})`` pushes the
+    uniform angles onto the Poisson distribution of radius ``r[j]``; these
+    node averages are the rule's own, not the exact moments ``r_j^s`` the
+    oracle checks.  A table too short is rebuilt at the next power of two
+    above ``degree``, by ``_QUAD_ROWS`` radii and repeated products, so row
+    ``s`` has the same bits at every size, whatever the order of calls.
     """
+    table = _MOMENTS.get(level)
+    if table is not None and len(table) > degree:
+        return table
     nr, na = QUAD_LEVELS[level]
-    r, _ = _radial_nodes(nr)
-    eipsi = np.exp(2j * np.pi * np.arange(na) / na)
-    eitau = np.empty((nr, na), dtype=complex)
-    for s in range(0, nr, _QUAD_ROWS):
-        rr, block = r[s : s + _QUAD_ROWS, None], eitau[s : s + _QUAD_ROWS]
-        np.add(eipsi, rr, out=block)
-        block /= 1.0 + rr * eipsi
-    eitau.flags.writeable = False
-    return eitau
-
-
-def _horner(z, c, out):
-    """``polyval(z, c)`` into ``out``, with polyval's operations and bits:
-    ``c[-1] * z`` first (a complex product with fused multiply-add is not
-    bitwise commutative), and no exact 0 added (that changes only the sign
-    of a zero)."""
-    if len(c) == 1:
-        np.multiply(z, 0, out=out)
-        out += c[0]
-        return
-    np.multiply(c[-1], z, out=out)
-    for i in range(2, len(c) + 1):
-        if i > 2:
-            out *= z
-        if c[-i] != 0:
-            out += c[-i]
+    size = 1 << degree.bit_length()
+    table = np.ones((size, nr), dtype=complex)
+    if size > 1:
+        r, _ = _radial_nodes(nr)
+        eipsi = np.exp(2j * np.pi * np.arange(na) / na)
+        warp, power = np.empty((2, _QUAD_ROWS, na), dtype=complex)
+        for j in range(0, nr, _QUAD_ROWS):
+            rr = r[j : j + _QUAD_ROWS, None]
+            np.multiply(rr, eipsi, out=power)
+            power += 1.0
+            np.add(eipsi, rr, out=warp)
+            warp /= power
+            power[...] = 1.0
+            for s in range(1, size):
+                power *= warp
+                table[s, j : j + _QUAD_ROWS] = np.mean(power, axis=1)
+    table.flags.writeable = False
+    _MOMENTS[level] = table
+    return table
 
 
 def cross_energy(f, g, mu, level):
     """Sesquilinear Dirichlet energy pairing of two polynomials.
 
-    Evaluates ``(1/pi) * iint f'(z) * conj(g'(z)) P_mu(z) dA(z)`` in one
-    pass on the quadrature grid described in :func:`quadrature_energy`;
-    this is the polarization ``(E(f+g) - E(f-g) + i E(f+ig) - i E(f-ig)) / 4``
-    of that energy, up to round-off.  Passing the same object as ``f`` and
-    ``g`` evaluates its derivative once.  Evaluation runs atom by atom, by
-    blocks of 16 radial rows on the cached warp grid (built by such
-    blocks), with Horner's rule in place, so no full-grid temporary is
-    made: three block buffers in all, 0.5 MB each at level 3.  The nodes,
-    values and summation order are those of a full-grid evaluation, bit
-    for bit.
+    Evaluates ``(1/pi) * iint f'(z) * conj(g'(z)) P_mu(z) dA(z)`` by the
+    quadrature rule described in :func:`quadrature_energy`; this is the
+    polarization ``(E(f+g) - E(f-g) + i E(f+ig) - i E(f-ig)) / 4`` of that
+    energy, up to round-off.  With ``a``, ``b`` the coefficients of ``f'``
+    and ``g'``, the mean over the angular nodes of radius ``j`` of atom
+    ``zeta`` is ``sum_{p,q} a_p conj(b_q) zeta^(p-q) r_j^(p+q) M[p-q, j]``,
+    ``M[-s] = conj(M[s])``: the rule's nodes and weights summed in
+    coefficient space, at ``O(nr * deg f' * deg g')`` per call, with no
+    temporary above ``nr * (deg f' + deg g' + 1)`` entries, within
+    ``1e-13 * max(1, |value|)`` of the full-grid values.  Passing the same
+    object as ``f`` and ``g`` takes its derivative once.
 
     Parameters
     ----------
@@ -246,31 +251,23 @@ def cross_energy(f, g, mu, level):
     dg = df if g is f else poly_derivative(g)
     if df.size == 0 or dg.size == 0:
         return 0j
-    nr, na = QUAD_LEVELS[level]
-    r, wr = _radial_nodes(nr)
-    eitau = _warp_grid(level)
-    # One allocation for the three block buffers: glibc's malloc keeps it
-    # across calls, but could return three 0.5 MB ones after every call.
-    z, fp, gp = np.empty((3, _QUAD_ROWS, na), dtype=complex)
-    gp = fp if dg is df else gp
-    avg = np.empty(nr, dtype=complex)
-    total = 0.0
-    for zeta, gamma in mu.atoms:
-        for s in range(0, nr, _QUAD_ROWS):
-            e = s + _QUAD_ROWS
-            np.multiply(zeta * r[s:e, None], eitau[s:e], out=z)
-            _horner(z, df, fp)
-            if gp is not fp:
-                _horner(z, dg, gp)
-            # conj(g') * f' in that order: a complex product with fused
-            # multiply-add is not bitwise commutative, and this is the order
-            # NumPy's temporary elision gives ``f' * conj(g')`` on arrays of
-            # 256 KB or more, as every full-grid array is.
-            np.conjugate(gp, out=z)
-            z *= fp
-            avg[s:e] = np.mean(z, axis=1)
-        total += gamma * 2.0 * np.sum(wr * r * avg)
-    return complex(total)
+    r, wr = _radial_nodes(QUAD_LEVELS[level][0])
+    p, q = df.size, dg.size
+    moments = _angular_moments(level, max(p, q) - 1)
+    rpow = r ** np.arange(max(p, q))[:, None]
+    a = df[:, None] * rpow[:p]
+    b = np.conj(a if dg is df else dg[:, None] * rpow[:q])
+    # Row s + q - 1 holds M[s] * sum_{p' - q' = s} a_p' conj(b_q') r^(p' + q'),
+    # for s = 1 - q, ..., p - 1.  Each product forms where a node's value
+    # did, so an overflow raises under the caller's errstate.
+    coupled = np.zeros((p + q - 1, r.size), dtype=complex)
+    for k in range(q):
+        coupled[q - 1 - k : q - 1 - k + p] += a * b[k]
+    coupled[q - 1 :] *= moments[:p]
+    coupled[: q - 1] *= np.conj(moments[q - 1 : 0 : -1])
+    coupled *= wr * r
+    turns = np.sum(mu.weights * mu.points ** np.arange(1 - q, p)[:, None], axis=1)
+    return complex(2.0 * np.sum(np.sum(coupled, axis=1) * turns))
 
 
 @dataclass(frozen=True)

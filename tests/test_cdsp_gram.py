@@ -18,7 +18,7 @@ from cauchydual import (
     moment,
     quadrature_energy,
 )
-from cauchydual.cdsp import QUAD_LEVELS, _radial_nodes, _warp_grid
+from cauchydual.cdsp import QUAD_LEVELS, _angular_moments, _radial_nodes
 from cauchydual.cpoly import poly_derivative
 
 
@@ -126,49 +126,97 @@ def test_cross_energy_equals_polarized_energy(canonical_mu):
 
 def test_cross_energy_reuses_radial_nodes(monkeypatch, canonical_mu):
     # Gauss-Legendre nodes are built once per radial count and shared
-    # read-only; a warm call must not rebuild them.
+    # read-only; a warm call must not rebuild them, nor the moment table.
     first = cross_energy(_basis(3), _basis(2), canonical_mu, 1)
+    table = cauchydual.cdsp._MOMENTS[1]
 
     def rebuilt(*args, **kwargs):
         raise AssertionError("leggauss called on a warm cache")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", rebuilt)
-    builds = _warp_grid.cache_info().misses
     assert cross_energy(_basis(3), _basis(2), canonical_mu, 1) == first
-    assert _warp_grid.cache_info().misses == builds
+    assert cauchydual.cdsp._MOMENTS[1] is table
     r, wr = _radial_nodes(64)
     assert not r.flags.writeable and not wr.flags.writeable
-    # The warp grid is one read-only nr x na object per level.
-    eitau = _warp_grid(1)
-    assert eitau is _warp_grid(1) and not eitau.flags.writeable
-    assert eitau.shape == QUAD_LEVELS[1]
+    # The moment table is one read-only object per level, one column per
+    # radial node.
+    assert table is _angular_moments(1, 0) and not table.flags.writeable
+    assert table.shape[1] == QUAD_LEVELS[1][0]
 
 
-def test_warp_grid_is_the_one_expression_grid_built_by_row_blocks():
-    # Filled by blocks of radial rows, the grid is the one-expression
-    # grid bit for bit, and a cold level-3 build peaks at about one
-    # block-sized temporary above the 8.4 MB grid itself.
+def _full_grid_moments(level, size):
+    # The level's whole nr x na warp grid in one expression, its powers by
+    # repeated products, each row of the table the mean over every angular
+    # node.
+    nr, na = QUAD_LEVELS[level]
+    r, _ = _radial_nodes(nr)
+    eipsi = np.exp(2j * np.pi * np.arange(na) / na)
+    rr = r[:, None]
+    eitau = (eipsi + rr) / (1.0 + rr * eipsi)
+    power = np.ones((nr, na), dtype=complex)
+    want = np.empty((size, nr), dtype=complex)
+    for s in range(size):
+        want[s] = np.mean(power, axis=1)
+        power = power * eitau
+    return want
+
+
+def test_moment_table_is_the_one_expression_table_built_by_row_blocks(monkeypatch):
+    # Filled by blocks of radial rows, the table is the full-grid one bit
+    # for bit, and a cold level-3 build peaks at about two block buffers,
+    # far below the 8.4 MB that one full-grid array would take.
+    monkeypatch.setattr(cauchydual.cdsp, "_MOMENTS", {})
     for level in QUAD_LEVELS:
-        nr, na = QUAD_LEVELS[level]
-        r, _ = _radial_nodes(nr)
-        eipsi = np.exp(2j * np.pi * np.arange(na) / na)
-        rr = r[:, None]
-        want = (eipsi + rr) / (1.0 + rr * eipsi)
-        assert _warp_grid(level).tobytes() == want.tobytes()
-    _warp_grid.cache_clear()
+        want = _full_grid_moments(level, 16)
+        assert _angular_moments(level, 15).tobytes() == want.tobytes()
+    monkeypatch.setattr(cauchydual.cdsp, "_MOMENTS", {})
     tracemalloc.start()
     try:
-        grid = _warp_grid(3)
+        table = _angular_moments(3, 15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert grid.nbytes == 256 * 2048 * 16
-    assert peak < 1.15 * grid.nbytes
+    assert table.shape == (16, 256)
+    assert peak < 2e6
+
+
+def test_moment_table_is_not_the_poisson_moments():
+    # The oracle stays independent of the closed form it checks only while
+    # the table is the rule's own node average: the exact Poisson moments
+    # r^s would make it the closed form.
+    for level in QUAD_LEVELS:
+        r, _ = _radial_nodes(QUAD_LEVELS[level][0])
+        table = _angular_moments(level, 15)[:16]
+        assert np.max(np.abs(table - r ** np.arange(16)[:, None])) > 1e-4
+
+
+def test_cross_energy_bits_do_not_depend_on_the_table_size(monkeypatch, seeded_measure):
+    # Degree 3, then 6, then 40 grow each level's table from 4 to 8 to 64
+    # rows; the degree-3 and degree-6 calls after them read the large table
+    # and must give the bits they gave on the small ones.
+    monkeypatch.setattr(cauchydual.cdsp, "_MOMENTS", {})
+    rng = np.random.default_rng(31)
+    mu = seeded_measure(rng, 3)
+    low = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    mid = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    high = rng.standard_normal(42) + 1j * rng.standard_normal(42)
+    for level in QUAD_LEVELS:
+        cold = [cross_energy(low, low[:4], mu, level)]
+        assert len(_angular_moments(level, 0)) == 4
+        cold.append(cross_energy(mid, low, mu, level))
+        small = _angular_moments(level, 0)
+        assert len(small) == 8
+        cross_energy(high, low, mu, level)
+        assert len(_angular_moments(level, 0)) == 64
+        assert _angular_moments(level, 0)[:8].tobytes() == small.tobytes()
+        warm = [cross_energy(low, low[:4], mu, level), cross_energy(mid, low, mu, level)]
+        assert warm == cold
 
 
 def _reference_cross_energy(f, g, mu, level):
-    # The one-pass full-grid body that the radial blocks replaced, kept
-    # verbatim: its values are the ones cross_energy must reproduce.
+    # The one-pass full-grid body of the same rule, kept verbatim: it
+    # evaluates f' and g' at every node, cross_energy sums in coefficient
+    # space, so the two agree to round-off.
     df = poly_derivative(f)
     dg = df if g is f else poly_derivative(g)
     if df.size == 0 or dg.size == 0:
@@ -188,9 +236,10 @@ def _reference_cross_energy(f, g, mu, level):
     return complex(total)
 
 
-def test_cross_energy_is_bitwise_the_full_grid_body(seeded_measure):
-    # Same nodes, same operations, same summation order: == on every case.
-    # Each (k, level) runs one nonconstant pair in turn, which keeps the
+def test_cross_energy_matches_the_full_grid_body(seeded_measure):
+    # Same nodes and weights, summed in another order: within 1e-13 of the
+    # full-grid value, relative to max(1, |value|), on every case.  Each
+    # (k, level) runs one nonconstant pair in turn, which keeps the
     # full-grid reference affordable; every pair meets every level.
     rng = np.random.default_rng(20)
     f = rng.standard_normal(7) + 1j * rng.standard_normal(7)
@@ -206,33 +255,37 @@ def test_cross_energy_is_bitwise_the_full_grid_body(seeded_measure):
         mu = seeded_measure(rng, k)
         for level in QUAD_LEVELS:
             a, b = pairs[(k + level) % len(pairs)]
-            assert cross_energy(a, b, mu, level) == _reference_cross_energy(a, b, mu, level)
+            want = _reference_cross_energy(a, b, mu, level)
+            assert abs(cross_energy(a, b, mu, level) - want) <= 1e-13 * max(1.0, abs(want))
             assert cross_energy(f, [2.0], mu, level) == 0j
             assert cross_energy([2.0], g, mu, level) == 0j
 
 
 def test_cross_energy_allocates_no_full_grid_array():
-    # A full level-3 grid is 256 x 2048 complex, 8.4 MB per array; the
-    # radial blocks keep a warm call's traced peak to three 0.5 MB block
-    # buffers, about 1.6 MB in all.
+    # A full level-3 grid is 256 x 2048 complex, 8.4 MB per array; a warm
+    # call's temporaries are at most (deg f' + deg g' + 1) x 256 complex,
+    # about 0.5 MB for a pair of degree 64.
     mu = make_measure(np.exp([0.3j, 2.0j, 4.1j]), [0.5, 0.4, 0.6])
-    f, g = _basis(10), _basis(6)
-    want = cross_energy(f, g, mu, 3)
-    tracemalloc.start()
-    try:
-        got = cross_energy(f, g, mu, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == want
-    assert peak < 2e6
+    rng = np.random.default_rng(64)
+    dense = rng.standard_normal((2, 65)) + 1j * rng.standard_normal((2, 65))
+    for f, g in ((_basis(10), _basis(6)), tuple(dense)):
+        want = cross_energy(f, g, mu, 3)
+        tracemalloc.start()
+        try:
+            got = cross_energy(f, g, mu, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2e6
 
 
-def test_cross_energy_helper_runs_under_the_callers_errstate():
+def test_cross_energy_runs_under_the_callers_errstate():
     # One atom: |f'|^2 = 1e320 r^60 overflows only in the rows with
-    # r > 0.5 (at r < 0.49 it stays below 2e301).  The caller evaluates
-    # those rows itself, on no helper thread, so its errstate turns that
-    # overflow into an error, and the call leaves no thread behind.
+    # r > 0.5 (at r < 0.49 it stays below 2e301).  The product
+    # a_30 r^30 * conj(a_30 r^30) of those rows forms in the caller's own
+    # thread, so its errstate turns that overflow into an error, and the
+    # call leaves no thread behind.
     mu = make_measure([1.0], [1.0])
     f = np.zeros(32, dtype=complex)
     f[31] = 1e160 / 31
@@ -258,8 +311,8 @@ for f, g, points, weights, level in ast.literal_eval(sys.stdin.read()):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
 def test_cross_energy_bits_do_not_depend_on_the_cpu_count(seeded_measure):
-    # A child pinned to one CPU runs both workers' halves on that CPU; its
-    # values must be the in-process ones, repr for repr.
+    # A child pinned to one CPU builds its moment tables and sums on that
+    # CPU; its values must be the in-process ones, repr for repr.
     rng = np.random.default_rng(28)
     cases = []
     for level in QUAD_LEVELS:
