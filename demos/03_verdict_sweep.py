@@ -12,7 +12,6 @@ import numpy as np
 
 from cauchydual import (
     closed_form_test,
-    coupling_determinant,
     make_measure,
     parse_measure,
     render_csv,
@@ -29,7 +28,7 @@ for line in verdict.citations:
     print("grounds:", line)
 
 # The scalar coupling invariant of the two-atom data.
-print("\ncoupling determinant:", coupling_determinant(mu))
+print("\ncoupling determinant:", verdict.coupling_det)
 
 # Rotating every atom by a common phase is a unitary equivalence, so the
 # verdict and the overlap sum cannot change.  The test evaluates in a

@@ -64,7 +64,6 @@ __all__ = [
     "CdspVerdict",
     "canonical_frame",
     "closed_form_test",
-    "coupling_determinant",
     "SweepRow",
     "sweep_angle",
 ]
@@ -765,7 +764,12 @@ class CdspVerdict:
     root_products : tuple of complex
         ``alpha_r * conj(alpha_t)`` for ``r != t`` in the canonical frame.
     coupling_det : complex or None
-        :func:`coupling_determinant` in the canonical frame (None when not computed).
+        Two-atom coupling determinant ``sum_{r,t} W_rt * (1 - 1/(alpha_r
+        conj(alpha_t)))**2 / (alpha_r**2 conj(alpha_t)**2 (alpha_r -
+        alpha_{3-r}) conj(alpha_t - alpha_{3-t}))`` with ``W_rt = sum_j
+        p_j(alpha_r) conj(p_j(alpha_t))`` in the canonical frame, a
+        diagnostic to which no verdict semantics attach (None when not
+        computed).
     citations : tuple of str
         Human-readable statements backing the verdict.
     """
@@ -880,34 +884,6 @@ def closed_form_test(mu, analysis=None):
         cites = (CITE_NOT_SUBNORMAL_OVERLAP, CITE_NOT_SUBNORMAL_RAY)
         return CdspVerdict("NotSubnormal", s_offdiag, products, coupling, cites)
     return CdspVerdict("Inconclusive", s_offdiag, products, coupling, (CITE_INCONCLUSIVE,))
-
-
-def coupling_determinant(mu):
-    """Replicated coupling determinant for a two-atom measure.
-
-    Assembles the scalar ``sum_{r,t} W_rt * (1 - 1/(alpha_r
-    conj(alpha_t)))**2 / (alpha_r**2 conj(alpha_t)**2 (alpha_r -
-    alpha_{3-r}) conj(alpha_t - alpha_{3-t}))`` with ``W_rt = sum_j
-    p_j(alpha_r) conj(p_j(alpha_t))``, evaluated in the canonical frame.
-    Reported as a diagnostic; no verdict semantics attach to it.
-
-    Parameters
-    ----------
-    mu : MeasureSpec
-
-    Returns
-    -------
-    complex
-
-    Raises
-    ------
-    ValidationError
-        If the measure does not have exactly two atoms.
-    """
-    if mu.k != 2:
-        raise ValidationError("coupling determinant requires exactly two atoms")
-    model = build_model(mu)
-    return _frame_scalars(mu, (model, build_identification(model)))[3]
 
 
 @dataclass(frozen=True)

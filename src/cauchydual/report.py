@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 
 import numpy as np
 
@@ -78,7 +77,7 @@ _COMPLEX_VECTOR = {"type": "array", "items": _COMPLEX}
 _COMPLEX_MATRIX = {"type": "array", "items": _COMPLEX_VECTOR}
 _CURVE = {
     "type": "object",
-    "patternProperties": {"^[0-9]+$": {"type": "number"}},
+    "properties": {str(n): {"type": "number"} for n in AGLER_ORDERS},
     "additionalProperties": False,
 }
 _POINT_MASS = _object({"point": _COMPLEX, "weight": {"type": "number"}})
@@ -165,8 +164,8 @@ _TYPES = {
     "array": lambda v: isinstance(v, list),
     "object": lambda v: isinstance(v, dict),
 }
-_KEYWORDS = {"$schema", "type", "required", "properties", "patternProperties",
-             "additionalProperties", "items", "const", "enum"}
+_KEYWORDS = {"$schema", "type", "required", "properties", "additionalProperties",
+             "items", "const", "enum"}
 
 
 def _equal(a, b):
@@ -214,19 +213,13 @@ def _check(value, schema, path):
             if name not in value:
                 _fail(path + _child(name), "required property is missing")
         props = schema.get("properties", {})
-        patterns = schema.get("patternProperties", {})
         additional = schema.get("additionalProperties", True)
         if not isinstance(additional, bool):
             raise NotImplementedError("additionalProperties other than true or false")
         for key, item in value.items():
-            matched = key in props
-            if matched:
+            if key in props:
                 _check(item, props[key], path + _child(key))
-            for pattern, sub in patterns.items():
-                if re.search(pattern, key):
-                    matched = True
-                    _check(item, sub, path + _child(key))
-            if not matched and not additional:
+            elif not additional:
                 _fail(path + _child(key), "property is not allowed")
     if isinstance(value, list) and "items" in schema:
         if not isinstance(schema["items"], dict):
@@ -236,6 +229,8 @@ def _check(value, schema, path):
 
 
 def _cpx(value):
+    if value is None:
+        return None
     value = complex(value)
     return {"re": float(value.real), "im": float(value.imag)}
 
@@ -335,13 +330,9 @@ def build_report(mu, trunc=64, nmax=6, skip_oracle=False):
         },
         "cdsp": {
             "verdict": verdict.verdict,
-            "s_offdiag": _cpx(verdict.s_offdiag)
-            if verdict.s_offdiag is not None
-            else None,
+            "s_offdiag": _cpx(verdict.s_offdiag),
             "root_products": _cvec(verdict.root_products),
-            "coupling_det": _cpx(verdict.coupling_det)
-            if verdict.coupling_det is not None
-            else None,
+            "coupling_det": _cpx(verdict.coupling_det),
             "citations": list(verdict.citations),
         },
         "oracle": None,
@@ -375,12 +366,12 @@ def _render(value, level):
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         return _fmt_float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return _render({"re": float(value.real), "im": float(value.imag)}, level)
+    if isinstance(value, complex):
+        return _render(_cpx(value), level)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -397,11 +388,10 @@ def _render(value, level):
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        if not seq:
+    if isinstance(value, list):
+        if not value:
             return "[]"
-        items = [f"{inner}{_render(v, level + 1)}" for v in seq]
+        items = [f"{inner}{_render(v, level + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 

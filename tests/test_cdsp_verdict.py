@@ -8,12 +8,10 @@ import pytest
 from cauchydual import (
     ResidualTooLarge,
     SingularGram,
-    ValidationError,
     build_identification,
     build_model,
     canonical_frame,
     closed_form_test,
-    coupling_determinant,
     make_measure,
     parse_measure,
     poly_eval,
@@ -194,7 +192,6 @@ def test_rotation_identity_is_bit_identical_with_the_first_atom_at_one(text):
     assert cdsp._frame_scalars(mu, _analysis(mu)) == ref
     verdict = closed_form_test(mu)
     assert (verdict.s_offdiag, verdict.root_products, verdict.coupling_det) == (ref[0], ref[1], ref[3])
-    assert coupling_determinant(mu) == ref[3]
 
 
 def _hex(value):
@@ -224,10 +221,7 @@ def test_verdict_from_a_prebuilt_analysis_is_bit_identical():
     for mu in pairs + others:
         verdict = closed_form_test(mu, _analysis(mu))
         assert _bits(verdict) == _bits(closed_form_test(mu))
-        if mu.k == 2:
-            assert _hex(verdict.coupling_det) == _hex(coupling_determinant(mu))
-        else:
-            assert verdict.coupling_det is None
+        assert (verdict.coupling_det is None) == (mu.k != 2)
 
 
 @pytest.mark.parametrize(
@@ -243,15 +237,10 @@ def test_antipodal_verdict_survives_a_failed_analysis(text, error):
     assert (res.s_offdiag, res.root_products, res.coupling_det) == (None, (), None)
 
 
-def test_coupling_determinant_regression(canonical_mu):
-    got = coupling_determinant(canonical_mu)
+def test_coupling_det_regression(canonical_mu):
+    got = closed_form_test(canonical_mu).coupling_det
     assert abs(got - COUPLING_DET) <= 1e-9 * abs(COUPLING_DET)
     assert abs(got.imag) <= 1e-9
-
-
-def test_coupling_determinant_needs_two_atoms(single_mu):
-    with pytest.raises(ValidationError):
-        coupling_determinant(single_mu)
 
 
 def test_sweep_basic_grid():

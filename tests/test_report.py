@@ -11,7 +11,6 @@ from cauchydual import (
     ValidationError,
     build_report,
     closed_form_test,
-    coupling_determinant,
     make_measure,
     render_csv,
     render_json,
@@ -83,7 +82,7 @@ def test_report_builds_canonical_model_once(monkeypatch):
     assert doc["cdsp"]["verdict"] == verdict.verdict
     assert doc["cdsp"]["s_offdiag"] == _cpx(verdict.s_offdiag)
     assert doc["cdsp"]["root_products"] == [_cpx(p) for p in verdict.root_products]
-    assert doc["cdsp"]["coupling_det"] == _cpx(coupling_determinant(mu))
+    assert doc["cdsp"]["coupling_det"] == _cpx(verdict.coupling_det)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -231,7 +230,7 @@ def _mutations(value):
 
     yield "delete", delete
     if isinstance(value, dict):
-        # "7" matches the curves' order pattern; "extra" matches nothing.
+        # "7" is one of the curves' listed orders; "extra" matches nothing.
         yield "key 7", lambda parent, key: parent[key].__setitem__("7", 0.5)
         yield "key extra", lambda parent, key: parent[key].__setitem__("extra", 0)
     if isinstance(value, list):
@@ -328,6 +327,7 @@ def test_validator_refuses_unknown_keywords():
         {"type": "array", "items": [{"type": "number"}]},
         {"$ref": "#/$defs/x"},
         {"oneOf": [{"type": "number"}, {"type": "null"}]},
+        {"type": "object", "patternProperties": {"^[0-9]+$": {"type": "number"}}},
     ):
         with pytest.raises(NotImplementedError):
             _check([{"a": 1}], schema, "$")
@@ -357,10 +357,9 @@ def test_validator_draft7_types_and_equality():
         _draft7(schema)(good)
         with pytest.raises(SchemaViolation):
             _draft7(schema)(bad)
-    curve = _draft7({"patternProperties": {"^[0-9]+$": {"type": "number"}},
-                     "additionalProperties": False})
-    curve({"12": 0.5})
-    for bad in ({"12": "x"}, {"x12": 0.5}):
+    curve = _draft7(report._CURVE)
+    curve({"1": 0.5, "10": -0.5})
+    for bad in ({"10": "x"}, {"0": 0.5}, {"11": 0.5}, {"x1": 0.5}):
         with pytest.raises(SchemaViolation):
             curve(bad)
 
