@@ -49,7 +49,7 @@ from .cpoly import _sort_roots, poly_derivative, poly_eval
 from .debranges import build_identification
 from .dirichlet import build_model
 from .errors import NonConvergence, NotPSD, SingularGram, ToolkitError, ValidationError
-from .measure import MeasureSpec, make_measure
+from .measure import MeasureSpec, make_measure, moment
 
 __all__ = [
     "gram_monomials",
@@ -127,12 +127,7 @@ def gram_monomials(mu, n):
     if n < 2:
         raise ValidationError("gram_monomials needs size >= 2")
     idx = np.arange(n)
-    # moment(mu, l) for every l at once, bit for bit: only the scalar
-    # exponent 2 takes NumPy's square fast path, so that row is redone.
-    powers = np.conj(mu.points)[None, :] ** idx[:, None]
-    if n > 2:
-        powers[2] = np.conj(mu.points) ** 2
-    pos = np.sum(mu.weights * powers, axis=1)
+    pos = moment(mu, idx)
     full = np.concatenate((np.conj(pos[:0:-1]), pos))
     # G = I + min(m, l) * full[n - 1 - m + l], the band read through a
     # Toeplitz view; adding 0 clears signed zeros as adding I's zeros did.

@@ -231,7 +231,3 @@ def main(argv=None):
         elapsed = time.perf_counter() - start
         print(f"wall_time_s={elapsed:.3f}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -186,18 +186,20 @@ def moment(mu, l):
     """Trigonometric moment ``sum_k gamma_k * conj(zeta_k)**l``.
 
     Satisfies ``moment(mu, -l) == conj(moment(mu, l))`` exactly in
-    structure.
+    structure.  An integer array ``l`` gives the array of its moments.
 
     Parameters
     ----------
     mu : MeasureSpec
-    l : int
+    l : int or array_like of int
 
     Returns
     -------
-    complex
+    complex, or an ndarray shaped like an array ``l``
     """
-    return complex(np.sum(mu.weights * np.conj(mu.points) ** int(l)))
+    l = np.asarray(l, dtype=np.int64)
+    moments = np.sum(mu.weights * np.conj(mu.points) ** l[..., None], axis=-1)
+    return moments if l.ndim else complex(moments)
 
 
 def weight_numerator(mu):

@@ -168,17 +168,6 @@ _KEYWORDS = {"$schema", "type", "required", "properties", "additionalProperties"
              "items", "const", "enum"}
 
 
-def _equal(a, b):
-    """Draft-07 equality: ``True`` is not ``1``, but ``1`` equals ``1.0``."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return type(a) is type(b) and a == b
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(_equal, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
-    return a == b
-
-
 def _child(key):
     return f".{key}" if key.isidentifier() else f"[{json.dumps(key)}]"
 
@@ -191,9 +180,10 @@ def _check(value, schema, path):
     """Raise :class:`SchemaViolation` at the first part of ``value`` that
     breaks the draft-07 ``schema``, naming its JSON path.
 
-    Only the keywords in ``_KEYWORDS`` are implemented.  Any other keyword
-    raises ``NotImplementedError`` wherever its schema is reached; none is
-    ignored.
+    Only the keywords in ``_KEYWORDS`` are implemented, ``const`` and
+    ``enum`` with strings only, whose draft-07 equality is ``==``.  Any
+    other keyword or value raises ``NotImplementedError`` wherever its
+    schema is reached; none is ignored.
     """
     if not _KEYWORDS.issuperset(schema):
         unknown = sorted(set(schema) - _KEYWORDS)
@@ -204,9 +194,12 @@ def _check(value, schema, path):
         if not any(_TYPES[name](value) for name in names):
             got = next(name for name, test in _TYPES.items() if test(value))
             _fail(path, f"expected {' or '.join(names)}, got {got}")
-    if "const" in schema and not _equal(value, schema["const"]):
+    if "const" in schema or "enum" in schema:
+        if not all(isinstance(o, str) for o in [schema.get("const", ""), *schema.get("enum", ())]):
+            raise NotImplementedError("const and enum values other than strings")
+    if "const" in schema and value != schema["const"]:
         _fail(path, f"expected {schema['const']!r}, got {value!r}")
-    if "enum" in schema and not any(_equal(value, o) for o in schema["enum"]):
+    if "enum" in schema and value not in schema["enum"]:
         _fail(path, f"{value!r} is not one of {schema['enum']!r}")
     if isinstance(value, dict):
         for name in schema.get("required", ()):

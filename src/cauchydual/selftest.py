@@ -135,8 +135,6 @@ def _fmt(value, resolution):
     are never printed; trailing zeros are dropped, ``-0`` reads ``0``,
     and an imaginary part that rounds to zero is omitted.
     """
-    if value is None:
-        return "-"
     if isinstance(value, str):
         return value
     value = complex(value)

@@ -52,3 +52,18 @@ def seeded_measure():
     turned at random and each moved by up to 15% of the spacing, with
     weights in ``[0.7, 1.4]`` (the benchmark's domain)."""
     return _seeded_measure
+
+
+@pytest.fixture(scope="session")
+def hostile_texts():
+    """The hostile grid: 400 measures from ``default_rng(7)``, with k in
+    1..8 atoms at uniform angles and log-uniform weights in [1e-3, 1e3]."""
+    rng = np.random.default_rng(7)
+    texts = []
+    for _ in range(400):
+        k = rng.integers(1, 9)
+        angles = rng.uniform(0.0, 360.0, k)
+        weights = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), k))
+        texts.append(";".join(
+            f"deg:{float(a)!r}:w={float(w)!r}" for a, w in zip(angles, weights)))
+    return texts

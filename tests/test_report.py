@@ -328,6 +328,9 @@ def test_validator_refuses_unknown_keywords():
         {"$ref": "#/$defs/x"},
         {"oneOf": [{"type": "number"}, {"type": "null"}]},
         {"type": "object", "patternProperties": {"^[0-9]+$": {"type": "number"}}},
+        {"const": 1},
+        {"enum": [1, "a"]},
+        {"type": "array", "items": {"const": None}},
     ):
         with pytest.raises(NotImplementedError):
             _check([{"a": 1}], schema, "$")
@@ -349,14 +352,21 @@ def test_validator_draft7_types_and_equality():
     with pytest.raises(SchemaViolation, match="got boolean"):
         _draft7({"type": "number"})(False)
     _draft7({"type": ["string", "null"]})(None)
-    for schema, good, bad in (
-        ({"const": 1}, 1.0, True),
-        ({"enum": [1, "a"]}, 1.0, True),
-        ({"const": [1]}, [1.0], [True]),
+    # const and enum take strings only: other literals would need draft-07
+    # equality (1 == 1.0, True != 1), which no schema entry uses.
+    for schema, value in (
+        ({"const": 1}, 1.0),
+        ({"enum": [1, "a"]}, "a"),
+        ({"const": [1]}, [1]),
     ):
-        _draft7(schema)(good)
+        with pytest.raises(NotImplementedError, match="const and enum"):
+            _draft7(schema)(value)
+    _draft7({"enum": ["a", "b"]})("b")
+    for bad in ("1", 1, True, None):
         with pytest.raises(SchemaViolation):
-            _draft7(schema)(bad)
+            _draft7({"const": "a"})(bad)
+    with pytest.raises(SchemaViolation, match="is not one of"):
+        _draft7({"enum": ["a", "b"]})(1)
     curve = _draft7(report._CURVE)
     curve({"1": 0.5, "10": -0.5})
     for bad in ({"10": "x"}, {"0": 0.5}, {"11": 0.5}, {"x1": 0.5}):
